@@ -11,6 +11,7 @@ rewriting and re-verified symbolically by :func:`verify_rewrite_tables`.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -197,13 +198,9 @@ class EpimorphismSpec:
         return tuple(self.images[n] for n in GENERATOR_NAMES[self.class_label])
 
     def to_json(self) -> dict:
-        imgs = {}
-        for name, x in self.images.items():
-            if isinstance(self.group, groups.PermGroup):
-                imgs[name] = perms.format_cycles(self.group.elem(x))
-            else:
-                imgs[name] = x
-        return {"class": self.class_label, "images": imgs}
+        return {"class": self.class_label,
+                "images": {name: self.group.element_json(x)
+                           for name, x in self.images.items()}}
 
 
 def spec_from_json(obj, group: GroupTable | None = None, cap: int = 10**7) -> EpimorphismSpec:
@@ -211,21 +208,7 @@ def spec_from_json(obj, group: GroupTable | None = None, cap: int = 10**7) -> Ep
         obj = json.loads(obj)
     if group is None:
         group = groups.group_from_json(obj["group"], cap=cap)
-    images = {}
-    for name, val in obj["images"].items():
-        if isinstance(val, str):
-            assert isinstance(group, groups.PermGroup)
-            images[name] = group.id_of(perms.parse_cycles(val, group.degree))
-        elif isinstance(val, list):
-            if isinstance(group, groups.GpefGroup):
-                images[name] = group._id(*val)
-            elif isinstance(group, groups.GpefAlphaGroup):
-                images[name] = group._id(*val)
-            else:
-                assert isinstance(group, groups.PermGroup)
-                images[name] = group.id_of(perms.check_perm(val))
-        else:
-            images[name] = int(val)
+    images = {name: group.parse_element(val) for name, val in obj["images"].items()}
     return EpimorphismSpec(obj.get("class", obj.get("class_label")), group, images)
 
 
@@ -449,27 +432,13 @@ def _tuple_iter(label: str, G: GroupTable, domains: dict[str, list[int]],
     names = GENERATOR_NAMES[label]
     first = first_reps if first_reps is not None else domains[names[0]]
     if label == "1":
+        # (R0 R2)^2 = 1: only images of R2 commuting with that of R0
         for r0 in first:
             comm = [r2 for r2 in domains["R2"]
                     if G.product(r0, r2) == G.product(r2, r0)]
-            for r1 in domains["R1"]:
-                for r2 in comm:
-                    yield (r0, r1, r2)
-    elif len(names) == 2:
-        for a in first:
-            for b in domains[names[1]]:
-                yield (a, b)
-    elif len(names) == 3:
-        for a in first:
-            for b in domains[names[1]]:
-                for c in domains[names[2]]:
-                    yield (a, b, c)
-    else:
-        for a in first:
-            for b in domains[names[1]]:
-                for c in domains[names[2]]:
-                    for d in domains[names[3]]:
-                        yield (a, b, c, d)
+            yield from itertools.product((r0,), domains["R1"], comm)
+        return
+    yield from itertools.product(first, *(domains[n] for n in names[1:]))
 
 
 def _perm_prefilters(G: GroupTable):
@@ -521,7 +490,8 @@ def search_epimorphisms(label: str, G: GroupTable, *,
         domains = _candidate_domains(shape, G, parity, lam)
         first_reps = None
         if up_to_cycle_type:
-            assert isinstance(G, groups.PermGroup)
+            if not isinstance(G, groups.PermGroup):
+                raise SpecError("up_to_cycle_type needs a permutation group")
             by_type: dict[tuple[int, ...], int] = {}
             for x in domains[names[0]]:
                 t = perms.cycle_structure(G.elem(x))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import flagmaps
+from . import flagmaps, perms
 from .flagmaps import FlagMap
 
 LABELS = ("1", "2", "2s", "2P", "2ex", "2sex", "2Pex",
@@ -109,7 +109,8 @@ def classify(m: FlagMap) -> str | None:
     quotient = flagmaps.quotient_by_aut(m)
     if quotient.n > 4:
         return None
-    edge_orbits = flagmaps._orbit_partition(quotient.n, [quotient.r[0], quotient.r[2]])[1]
+    _, edge_orbits = perms.orbit_ids(quotient.n, [quotient.r[0].tolist(),
+                                                  quotient.r[2].tolist()])
     if edge_orbits != 1:
         return None
     for label in LABELS:

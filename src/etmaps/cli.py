@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from . import build, classes, flagmaps, groups, realize, suites
+from . import build, classes, flagmaps, groups, perms, realize, suites
 from .flagmaps import FlagMap
 
 
@@ -43,16 +43,7 @@ def _realization_json(real: realize.Realization) -> dict:
     out = spec.to_json()
     out["label"] = real.label
     out["ops"] = real.ops
-    G = spec.group
-    if isinstance(G, groups.PermGroup):
-        out["group"] = {"degree": G.degree,
-                        "generators": [G.label(g) for g in G.generators]}
-    elif isinstance(G, groups.GpefGroup):
-        out["group"] = {"family": "gpef", "p": G.p, "e": G.e, "f": G.f}
-    elif isinstance(G, groups.GpefAlphaGroup):
-        out["group"] = {"family": "gpef_alpha", "e": G.e}
-    else:
-        out["group"] = {"order": G.size}
+    out["group"] = spec.group.to_json()
     return out
 
 
@@ -145,10 +136,8 @@ def cmd_search(args) -> int:
         up_to_cycle_type=args.up_to_cycle_type,
         keep_all=args.keep_all)
     shape, _ = build.ORBIT_ROUTE[args.klass]
-    witnesses = []
-    for w in result.witnesses:
-        witnesses.append({name: (G.label(x) if isinstance(G, groups.PermGroup) else x)
-                          for name, x in w.items()})
+    witnesses = [{name: G.element_json(x) for name, x in w.items()}
+                 for w in result.witnesses]
     _emit({"class": args.klass, "shape": shape, "witnesses": witnesses,
            "examined": result.examined, "proved_empty": result.proved_empty})
     return 0
@@ -159,7 +148,7 @@ def cmd_verify(args) -> int:
     exit_code = 0
     for name in names:
         started = time.time()
-        report = suites.run_suite(name, threads=args.threads, cap=args.cap)
+        report = suites.run_suite(name)
         if args.format == "md":
             print(report.to_markdown())
         else:
@@ -219,8 +208,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", help="suite name or 'all': " + ", ".join(sorted(suites.SUITES)))
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--cap", type=int, default=10**7)
     p.add_argument("--format", choices=("json", "md"), default="json")
     p.set_defaults(func=cmd_verify)
     return parser
@@ -232,7 +219,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, json.JSONDecodeError, OSError,
-            realize.Unrealizable) as exc:
+            perms.CapExceeded, realize.Unrealizable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -43,7 +43,7 @@ class FlagMap:
         r0a, r1a, r2a = arrs
         if not np.array_equal(r0a[r2a], r2a[r0a]):
             raise MapError("(r0 r2)^2 = 1 fails")
-        if len(perms.orbits(n, [tuple(a) for a in arrs])) != 1:
+        if perms.orbit_ids(n, [a.tolist() for a in arrs])[1] != 1:
             raise MapError("flag action is not connected")
         self.n = n
         self.r = (r0a, r1a, r2a)
@@ -92,34 +92,6 @@ class FlagMap:
         return FlagMap(r0[r2], r1, r2)
 
 
-def _orbit_partition(n: int, arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
-    """Orbit ids (numbered by least member, 0-based) and the orbit count."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for arr in arrays:
-        for i in range(n):
-            j = int(arr[i])
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    ids = np.empty(n, dtype=np.int64)
-    next_id = 0
-    root_id = {}
-    for i in range(n):
-        r = find(i)
-        if r not in root_id:
-            root_id[r] = next_id
-            next_id += 1
-        ids[i] = root_id[r]
-    return ids, next_id
-
-
 @dataclass
 class MapSummary:
     flags: int
@@ -142,33 +114,14 @@ class MapSummary:
                 "genus": genus, "free_edges": self.free_edges}
 
 
-def _is_orientable_no_boundary(m: FlagMap) -> bool:
-    """True iff the flags admit a 2-coloring swapped by every r_i, i.e. the
-    monodromy image of each generator lies outside an index-2 subgroup."""
-    color = np.full(m.n, -1, dtype=np.int8)
-    color[0] = 0
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        c = 1 - color[x]
-        for arr in m.r:
-            y = int(arr[x])
-            if color[y] == -1:
-                color[y] = c
-                stack.append(y)
-            elif color[y] != c:
-                return False
-    return True
-
-
 def summary(m: FlagMap) -> MapSummary:
-    r0, r1, r2 = m.r
-    _, V = _orbit_partition(m.n, [r1, r2])
-    edge_ids, E = _orbit_partition(m.n, [r0, r2])
-    _, F = _orbit_partition(m.n, [r0, r1])
+    r0, r1, r2 = (arr.tolist() for arr in m.r)
+    _, V = perms.orbit_ids(m.n, [r1, r2])
+    edge_ids, E = perms.orbit_ids(m.n, [r0, r2])
+    _, F = perms.orbit_ids(m.n, [r0, r1])
     chi = V - E + F
     has_boundary = any(bool(np.any(arr == np.arange(m.n))) for arr in m.r)
-    orientable = _is_orientable_no_boundary(m)
+    orientable = orientation_classes(m) is not None
     sizes = np.bincount(edge_ids, minlength=E)
     free_edges = int(np.sum(sizes < 4))
     genus: tuple[str, int] | None = None
@@ -205,17 +158,23 @@ def _stable_colors(m: FlagMap) -> np.ndarray:
     return colors
 
 
-def _try_extend(m: FlagMap, target: int) -> np.ndarray | None:
-    """The unique automorphism sending flag 0 to ``target``, or None."""
-    a = np.full(m.n, -1, dtype=np.int64)
-    a[0] = target
-    stack = [0]
+def _rooted_match(m1: FlagMap, root1: int, m2: FlagMap,
+                  root2: int) -> np.ndarray | None:
+    """The isomorphism commuting with all three involutions that sends flag
+    root1 of m1 to root2 of m2, as a flag image array, or None.  It is unique
+    when it exists, since the flag action is connected; with m1 = m2 and
+    root1 = 0 it is the automorphism sending flag 0 to root2."""
+    if m1.n != m2.n:
+        return None
+    a = np.full(m1.n, -1, dtype=np.int64)
+    a[root1] = root2
+    stack = [root1]
     while stack:
         x = stack.pop()
         ax = a[x]
-        for arr in m.r:
-            y = int(arr[x])
-            ay = int(arr[ax])
+        for arr1, arr2 in zip(m1.r, m2.r):
+            y = int(arr1[x])
+            ay = int(arr2[ax])
             if a[y] == -1:
                 a[y] = ay
                 stack.append(y)
@@ -310,7 +269,7 @@ def aut_generators(m: FlagMap) -> tuple[list[np.ndarray], np.ndarray]:
         c = int(cand)
         if in_orbit[c] or ruled_out[c]:
             continue
-        g = _try_extend(m, c)
+        g = _rooted_match(m, 0, m, c)
         if g is not None:
             inv = np.empty(m.n, dtype=np.int64)
             inv[g] = np.arange(m.n)
@@ -322,13 +281,9 @@ def aut_generators(m: FlagMap) -> tuple[list[np.ndarray], np.ndarray]:
             # a(0) = h(c) succeeded, then h^-1 a would map 0 to c; so the
             # whole current orbit of a failed candidate fails with it
             close(ruled_out, c)
-    orbit_ids, _ = _orbit_partition(m.n, gens if gens else [_identity_array(m.n)])
-    m._aut = (gens, orbit_ids)
+    ids, _ = perms.orbit_ids(m.n, [g.tolist() for g in gens])
+    m._aut = (gens, np.asarray(ids, dtype=np.int64))
     return m._aut
-
-
-def _identity_array(n: int) -> np.ndarray:
-    return np.arange(n, dtype=np.int64)
 
 
 def aut_order(m: FlagMap) -> int:
@@ -353,10 +308,9 @@ def is_regular(m: FlagMap) -> bool:
 def is_edge_transitive(m: FlagMap) -> bool:
     """Aut transitive on edges: the edge orbits and the Aut orbits together
     connect all flags."""
-    gens, orbit_ids = aut_generators(m)
+    gens, _ = aut_generators(m)
     arrays = [m.r[0], m.r[2]] + list(gens)
-    _, count = _orbit_partition(m.n, arrays)
-    return count == 1
+    return perms.orbit_ids(m.n, [a.tolist() for a in arrays])[1] == 1
 
 
 def quotient_by_aut(m: FlagMap) -> FlagMap:
@@ -383,28 +337,6 @@ def quotient_by_aut(m: FlagMap) -> FlagMap:
 
 # -- isomorphism and join ------------------------------------------------------
 
-def _rooted_match(m1: FlagMap, root1: int, m2: FlagMap, root2: int) -> bool:
-    """Does flag root1 of m1 correspond to root2 of m2 under an isomorphism
-    commuting with all three involutions?"""
-    if m1.n != m2.n:
-        return False
-    a = np.full(m1.n, -1, dtype=np.int64)
-    a[root1] = root2
-    stack = [root1]
-    while stack:
-        x = stack.pop()
-        ax = a[x]
-        for arr1, arr2 in zip(m1.r, m2.r):
-            y = int(arr1[x])
-            ay = int(arr2[ax])
-            if a[y] == -1:
-                a[y] = ay
-                stack.append(y)
-            elif a[y] != ay:
-                return False
-    return True
-
-
 def is_isomorphic(m1: FlagMap, m2: FlagMap) -> bool:
     if m1.n != m2.n:
         return False
@@ -415,7 +347,7 @@ def is_isomorphic(m1: FlagMap, m2: FlagMap) -> bool:
     # color refinement is canonical, so an isomorphism maps a flag only to a
     # flag of the same color
     roots = np.nonzero(c1 == c2[0])[0]
-    return any(_rooted_match(m1, int(root), m2, 0) for root in roots)
+    return any(_rooted_match(m1, int(root), m2, 0) is not None for root in roots)
 
 
 def orientation_classes(m: FlagMap) -> np.ndarray | None:
@@ -448,7 +380,7 @@ def is_isomorphic_oriented(m1: FlagMap, m2: FlagMap) -> bool:
         raise MapError("oriented isomorphism needs orientable maps without boundary")
     if m1.n != m2.n:
         return False
-    return any(_rooted_match(m1, int(root), m2, 0)
+    return any(_rooted_match(m1, int(root), m2, 0) is not None
                for root in np.nonzero(c1 == 0)[0])
 
 

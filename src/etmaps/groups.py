@@ -19,8 +19,18 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from . import perms
-from .fields import priminv_check  # noqa: F401  (group-theory surface)
 from .perms import CapExceeded, Perm
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _exponents(value: list, arity: int) -> tuple[int, ...]:
+    """Normal-form exponents given as a JSON list of ``arity`` integers."""
+    if len(value) != arity or not all(_is_int(c) for c in value):
+        raise ValueError(f"{value!r} is not a list of {arity} integer exponents")
+    return tuple(value)
 
 
 class GroupTable:
@@ -37,6 +47,24 @@ class GroupTable:
 
     def label(self, a: int) -> str:
         return str(a)
+
+    # -- JSON boundary ---------------------------------------------------------
+
+    def to_json(self) -> dict:
+        """The group in the form :func:`group_from_json` reads, where the
+        family has one; otherwise only its order."""
+        return {"order": self.size}
+
+    def element_json(self, a: int) -> object:
+        """JSON form of element ``a``: its id unless the family says otherwise."""
+        return a
+
+    def parse_element(self, value) -> int:
+        """Element id of a JSON value: an id here, plus the family's own forms."""
+        if _is_int(value) and 0 <= value < self.size:
+            return value
+        raise ValueError(f"{value!r} is not an element id of a group of "
+                         f"order {self.size}")
 
     # -- generic helpers ------------------------------------------------------
 
@@ -158,6 +186,21 @@ class PermGroup(GroupTable):
     def label(self, a: int) -> str:
         return perms.format_cycles(self._elems[a])
 
+    def to_json(self) -> dict:
+        return {"degree": self.degree,
+                "generators": [self.label(g) for g in self.generators]}
+
+    def element_json(self, a: int) -> str:
+        return self.label(a)
+
+    def parse_element(self, value) -> int:
+        """Cycle strings and image lists as well as ids."""
+        if isinstance(value, str):
+            return self.id_of(perms.parse_cycles(value, self.degree))
+        if isinstance(value, list):
+            return self.id_of(perms.check_perm(value))
+        return super().parse_element(value)
+
     def generates(self, seed: Iterable[int]) -> bool:
         seed = list(seed)
         n = self.degree
@@ -212,6 +255,15 @@ class GpefGroup(GroupTable):
         i, j = divmod(a, self.n)
         return f"g^{i} h^{j}"
 
+    def to_json(self) -> dict:
+        return {"family": "gpef", "p": self.p, "e": self.e, "f": self.f}
+
+    def parse_element(self, value) -> int:
+        """Exponent pairs [i, j] for g^i h^j as well as ids."""
+        if isinstance(value, list):
+            return self._id(*_exponents(value, 2))
+        return super().parse_element(value)
+
 
 class GpefAlphaGroup(GroupTable):
     """The order 2^(2e+1) extension A = G_{2,e,2} x| <alpha> with
@@ -264,6 +316,15 @@ class GpefAlphaGroup(GroupTable):
     def label(self, a: int) -> str:
         i, j, eps = self.coords(a)
         return f"g^{i} h^{j}" + (" a" if eps else "")
+
+    def to_json(self) -> dict:
+        return {"family": "gpef_alpha", "e": self.e}
+
+    def parse_element(self, value) -> int:
+        """Exponent triples [i, j, eps] for g^i h^j alpha^eps as well as ids."""
+        if isinstance(value, list):
+            return self._id(*_exponents(value, 3))
+        return super().parse_element(value)
 
 
 class DirectProduct(GroupTable):

@@ -176,30 +176,60 @@ def group_spec(gens: Iterable[Sequence[int]]) -> PermGroupSpec:
 
 # -- orbits, blocks, primitivity ---------------------------------------------
 
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of ``x``, halving the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _numbered(parent: list[int]) -> tuple[list[int], int]:
+    """Class ids of a union-find forest whose roots are least members,
+    numbered by least member, and the class count."""
+    ids = [0] * len(parent)
+    count = 0
+    for i in range(len(parent)):
+        r = _find(parent, i)
+        if r == i:
+            ids[i] = count
+            count += 1
+        else:
+            ids[i] = ids[r]
+    return ids, count
+
+
+def _parts(ids: list[int], count: int) -> list[list[int]]:
+    parts: list[list[int]] = [[] for _ in range(count)]
+    for i, k in enumerate(ids):
+        parts[k].append(i)
+    return parts
+
+
+def orbit_ids(degree: int, gens: Iterable[Sequence[int]]) -> tuple[list[int], int]:
+    """Orbit id of every point under the generated group, numbered by least
+    member from 0, and the orbit count.  ``gens`` may be any integer
+    sequences (tuples, lists, ``ndarray.tolist()``); no generators leaves
+    every point in its own orbit."""
+    parent = list(range(degree))
+    for g in gens:
+        for i, j in enumerate(g):
+            ri, rj = _find(parent, i), _find(parent, j)
+            if ri < rj:
+                parent[rj] = ri
+            elif rj < ri:
+                parent[ri] = rj
+    return _numbered(parent)
+
+
 def orbits(degree: int, gens: Sequence[Perm]) -> list[list[int]]:
     """Finest partition closed under all generators; parts sorted, listed by
     least element."""
-    parent = list(range(degree))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in gens:
-        for i, j in enumerate(g):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    parts: dict[int, list[int]] = {}
-    for i in range(degree):
-        parts.setdefault(find(i), []).append(i)
-    return [parts[r] for r in sorted(parts)]
+    return _parts(*orbit_ids(degree, gens))
 
 
 def is_transitive(degree: int, gens: Sequence[Perm]) -> bool:
-    return len(orbits(degree, gens)) == 1
+    return orbit_ids(degree, gens)[1] == 1
 
 
 def block_system(degree: int, gens: Sequence[Perm], alpha: int, beta: int) -> list[list[int]]:
@@ -208,34 +238,18 @@ def block_system(degree: int, gens: Sequence[Perm], alpha: int, beta: int) -> li
     if not is_transitive(degree, gens):
         raise ValueError("block_system requires a transitive group")
     parent = list(range(degree))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
+    # a pair whose classes merge forces the classes of its images to merge
+    queue = [(alpha, beta)]
+    while queue:
+        x, y = queue.pop()
+        rx, ry = _find(parent, x), _find(parent, y)
         if rx == ry:
-            return None
+            continue
         if rx > ry:
             rx, ry = ry, rx
         parent[ry] = rx
-        return rx, ry
-
-    queue = [(alpha, beta)]
-    union(alpha, beta)
-    while queue:
-        x, y = queue.pop()
-        for g in gens:
-            merged = union(g[x], g[y])
-            if merged:
-                queue.append(merged)
-    parts: dict[int, list[int]] = {}
-    for i in range(degree):
-        parts.setdefault(find(i), []).append(i)
-    return [parts[r] for r in sorted(parts)]
+        queue.extend((g[rx], g[ry]) for g in gens)
+    return _parts(*_numbered(parent))
 
 
 def is_primitive(degree: int, gens: Sequence[Perm]) -> bool:

@@ -223,10 +223,7 @@ def _search_even_witness(label: str, n: int, description: str) -> Realization:
 def sym_even(label: str, n: int) -> Realization:
     """Orientable boundary-free map in the given class with Aut = S_n."""
     if label == "1":
-        try:
-            r0, r1, r2 = _sym_even_class1_perms(n)
-        except Unrealizable:
-            raise
+        r0, r1, r2 = _sym_even_class1_perms(n)
         G = sym_group(n)
         return _realization("1", G, dict(zip(("R0", "R1", "R2"),
                                              _ids(G, r0, r1, r2))))

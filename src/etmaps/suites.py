@@ -11,7 +11,6 @@ their provenance: "exhausted" when a search proved emptiness here,
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from math import factorial
@@ -137,7 +136,7 @@ def _verify_even_positive(real: Realization, want_aut: int) -> str:
 
 # -- basic-maps ------------------------------------------------------------------
 
-def suite_basic_maps(threads: int = 1, cap: int = 10**7) -> SuiteReport:
+def suite_basic_maps() -> SuiteReport:
     cases = []
     maps = {lab: classes.basic_map(lab) for lab in classes.LABELS}
     flag_counts = tuple(sorted(m.n for m in maps.values()))
@@ -225,7 +224,7 @@ def sym_witness(label: str, n: int) -> Realization:
     return realize.propagate(realize.sym_class1(n), label)
 
 
-def suite_table1_sym(threads: int = 1, cap: int = 10**7) -> SuiteReport:
+def suite_table1_sym() -> SuiteReport:
     cases = []
     searched: dict[tuple[str, int], bool] = {}
     for n in range(2, 9):
@@ -345,7 +344,7 @@ def _alt_certified_cell(label: str, n: int) -> str:
         "inverting automorphism"
 
 
-def suite_table1_alt(threads: int = 1, cap: int = 10**7) -> SuiteReport:
+def suite_table1_alt() -> SuiteReport:
     cases = []
     searched: dict[tuple[str, int], bool] = {}
     big_table_cap = 400_000
@@ -389,7 +388,7 @@ def psl_group(q: int) -> groups.PermGroup:
     return _PSL_CACHE[q]
 
 
-def suite_table1_psl2(threads: int = 1, cap: int = 10**7) -> SuiteReport:
+def suite_table1_psl2() -> SuiteReport:
     cases = []
     surveys: dict[int, groups.SurveyReport] = {}
 
@@ -497,7 +496,7 @@ def _table3_alt_expected(label: str, n: int) -> bool:
     return False
 
 
-def suite_table3(threads: int = 1, cap: int = 10**7) -> SuiteReport:
+def suite_table3() -> SuiteReport:
     cases = []
     for n in range(2, 9):
         G = realize.sym_group(n)
@@ -557,7 +556,7 @@ def _table3_alt_observed(label: str, n: int) -> tuple[str, str]:
 
 # -- small lemma suites --------------------------------------------------------------
 
-def suite_small_sn(threads: int = 1, cap: int = 10**7) -> SuiteReport:
+def suite_small_sn() -> SuiteReport:
     cases = []
     for n in range(2, 6):
         G = realize.sym_group(n)
@@ -568,7 +567,7 @@ def suite_small_sn(threads: int = 1, cap: int = 10**7) -> SuiteReport:
     return SuiteReport("small-sn", cases)
 
 
-def suite_a7_2ex(threads: int = 1, cap: int = 10**7) -> SuiteReport:
+def suite_a7_2ex() -> SuiteReport:
     G = realize.alt_group(7)
     res = build.search_epimorphisms("2Pex", G, up_to_cycle_type=True)
     cases = [_case("A7-2Pex-empty", True, res.proved_empty,
@@ -579,7 +578,7 @@ def suite_a7_2ex(threads: int = 1, cap: int = 10**7) -> SuiteReport:
     return SuiteReport("a7-2ex", cases)
 
 
-def suite_singerman(threads: int = 1, cap: int = 10**7) -> SuiteReport:
+def suite_singerman() -> SuiteReport:
     cases = []
     for q in (5, 7, 8, 9, 11, 13):
         G = psl_group(q)
@@ -590,7 +589,7 @@ def suite_singerman(threads: int = 1, cap: int = 10**7) -> SuiteReport:
     return SuiteReport("singerman", cases)
 
 
-def suite_nilpotent(threads: int = 1, cap: int = 10**7) -> SuiteReport:
+def suite_nilpotent() -> SuiteReport:
     cases = []
     for p, e in ((3, 2), (3, 3), (5, 2)):
         g = groups.GpefGroup(p, e, 1)
@@ -626,7 +625,7 @@ def suite_nilpotent(threads: int = 1, cap: int = 10**7) -> SuiteReport:
     return SuiteReport("nilpotent", cases)
 
 
-def suite_solvable(threads: int = 1, cap: int = 10**7) -> SuiteReport:
+def suite_solvable() -> SuiteReport:
     cases = []
     ra, rb = realize.edmonds_k8()
     ma, mb = ra.build(), rb.build()
@@ -678,7 +677,7 @@ def _locate_classes(G: groups.PermGroup, ct: groups.CharacterTable) -> list[list
     return located
 
 
-def suite_frobenius(threads: int = 1, cap: int = 10**7) -> SuiteReport:
+def suite_frobenius() -> SuiteReport:
     cases = []
     for name in ("chartable_s4.json", "chartable_d4.json", "chartable_a5.json"):
         G, ct = _load_chartable(name)
@@ -713,7 +712,7 @@ def suite_frobenius(threads: int = 1, cap: int = 10**7) -> SuiteReport:
     return SuiteReport("frobenius", cases)
 
 
-def suite_priminv(threads: int = 1, cap: int = 10**7) -> SuiteReport:
+def suite_priminv() -> SuiteReport:
     cases = []
     qs = []
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
@@ -729,7 +728,7 @@ def suite_priminv(threads: int = 1, cap: int = 10**7) -> SuiteReport:
     return SuiteReport("priminv", cases)
 
 
-def suite_rewrite_soundness(threads: int = 1, cap: int = 10**7) -> SuiteReport:
+def suite_rewrite_soundness() -> SuiteReport:
     failures = build.verify_rewrite_tables()
     cases = [_case("symbolic-relators", "[]", failures, "derived")]
     return SuiteReport("rewrite-soundness", cases)
@@ -752,7 +751,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, threads: int = 1, cap: int = 10**7) -> SuiteReport:
+def run_suite(name: str) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](threads=threads, cap=cap)
+    return SUITES[name]()

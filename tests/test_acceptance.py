@@ -176,7 +176,7 @@ def test_criterion_9f_edge_orbit_and_aut_invariants():
     for m in corpus:
         s = flagmaps.summary(m)
         assert s.V - s.E + s.F == s.euler_char
-        ids, count = flagmaps._orbit_partition(m.n, [m.r[0], m.r[2]])
+        ids, count = perms.orbit_ids(m.n, [m.r[0].tolist(), m.r[2].tolist()])
         sizes = np.bincount(ids, minlength=count)
         assert all(int(x) in (1, 2, 4) for x in sizes)
         auts = flagmaps.automorphisms(m)

@@ -105,11 +105,11 @@ def test_build_class3_n3_just_edge_transitive():
     # one vertex of valency 6 joined by double edges to three of valency 2;
     # three digons and one hexagon on the sphere
     assert (s.V, s.E, s.F, s.euler_char) == (4, 6, 4, 2)
-    vertex_ids, nv = flagmaps._orbit_partition(m.n, [m.r[1], m.r[2]])
+    vertex_ids, nv = perms.orbit_ids(m.n, [m.r[1].tolist(), m.r[2].tolist()])
     import numpy as np
     valencies = sorted(np.bincount(vertex_ids, minlength=nv).tolist())
     assert valencies == [4, 4, 4, 12]  # orbit size = 2 * valency
-    face_ids, nf = flagmaps._orbit_partition(m.n, [m.r[0], m.r[1]])
+    face_ids, nf = perms.orbit_ids(m.n, [m.r[0].tolist(), m.r[1].tolist()])
     fsizes = sorted(np.bincount(face_ids, minlength=nf).tolist())
     assert fsizes == [4, 4, 4, 12]  # three digons and a hexagon
 

@@ -146,8 +146,7 @@ def test_malformed_input_exit_2(capsys, tmp_path):
 
 def test_byte_stable_output(capsys):
     code1, out1 = run_cli(["verify", "rewrite-soundness"], capsys=capsys)
-    code2, out2 = run_cli(["verify", "rewrite-soundness", "--threads", "4"],
-                          capsys=capsys)
+    code2, out2 = run_cli(["verify", "rewrite-soundness"], capsys=capsys)
     assert out1 == out2
 
 
@@ -164,15 +163,68 @@ def test_console_script_installed():
     _assert_rewrite_soundness_passes(proc)
 
 
-def test_module_entry_point():
-    # the same contract as the console script, through a fresh interpreter
-    # that finds the package only via PYTHONPATH
+def run_module(args, cwd=None):
+    """Run ``python -m etmaps.cli`` in a fresh interpreter that finds the
+    package only via PYTHONPATH."""
     src = str(Path(etmaps.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "etmaps.cli", "verify", "rewrite-soundness"],
+    return subprocess.run(
+        [sys.executable, "-m", "etmaps.cli", *args], cwd=cwd,
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
-    _assert_rewrite_soundness_passes(proc)
+
+
+def test_module_entry_point():
+    # the same contract as the console script
+    _assert_rewrite_soundness_passes(run_module(["verify", "rewrite-soundness"]))
+
+
+def _assert_input_error(proc):
+    """Malformed input: exit 2 and a one-line message, never a traceback."""
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def test_search_cap_overflow_is_input_error(tmp_path):
+    (tmp_path / "s6.json").write_text(json.dumps(
+        {"degree": 6, "generators": ["(1,2,3,4,5,6)", "(1,2)"]}))
+    proc = run_module(["search", "--class", "1", "--group", "s6.json",
+                       "--cap", "100"], cwd=tmp_path)
+    _assert_input_error(proc)
+    assert "cap of 100" in proc.stderr
+
+
+def _gpef_spec_file(tmp_path, images):
+    (tmp_path / "spec.json").write_text(json.dumps({
+        "class": "5", "group": {"family": "gpef", "p": 3, "e": 2, "f": 1},
+        "images": images}))
+    return "spec.json"
+
+
+def test_gpef_cycle_string_image_is_input_error(tmp_path):
+    spec = _gpef_spec_file(tmp_path, {"S": "(1,2)", "S'": [0, 1]})
+    _assert_input_error(run_module(["build", "--spec", spec], cwd=tmp_path))
+
+
+def test_gpef_image_list_of_wrong_length_is_input_error(tmp_path):
+    spec = _gpef_spec_file(tmp_path, {"S": [1, 0, 0], "S'": [0, 1]})
+    _assert_input_error(run_module(["build", "--spec", spec], cwd=tmp_path))
+
+
+def test_gpef_spec_with_exponent_lists_builds(capsys, tmp_path):
+    spec = _gpef_spec_file(tmp_path, {"S": [1, 0], "S'": [0, 1]})
+    code, out = run_cli(["build", "--spec", str(tmp_path / spec)], capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["flags"] == 4 * 81
+
+
+def test_cycle_type_search_on_gpef_is_input_error(tmp_path):
+    (tmp_path / "g.json").write_text(json.dumps({"family": "gpef", "p": 3, "e": 2,
+                                                 "f": 1}))
+    proc = run_module(["search", "--class", "5", "--group", "g.json",
+                       "--up-to-cycle-type"], cwd=tmp_path)
+    _assert_input_error(proc)
 
 
 def test_console_script_declared():

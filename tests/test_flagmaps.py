@@ -109,7 +109,7 @@ def test_dual_swaps_v_and_f():
 def test_edge_orbit_sizes():
     for label in classes.LABELS:
         m = classes.basic_map(label)
-        ids, count = flagmaps._orbit_partition(m.n, [m.r[0], m.r[2]])
+        ids, count = perms.orbit_ids(m.n, [m.r[0].tolist(), m.r[2].tolist()])
         sizes = np.bincount(ids, minlength=count)
         assert all(int(s) in (1, 2, 4) for s in sizes)
 
