@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from math import factorial
 
-from . import classes, flagmaps, groups, perms
+from . import groups, perms
 from .flagmaps import FlagMap
 from .groups import GroupTable
 
@@ -206,6 +206,9 @@ class EpimorphismSpec:
 def spec_from_json(obj, group: GroupTable | None = None, cap: int = 10**7) -> EpimorphismSpec:
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, dict) or not isinstance(obj.get("images"), dict):
+        raise SpecError("a spec must be a JSON object whose \"images\" is an "
+                        "object from generator names to elements")
     if group is None:
         group = groups.group_from_json(obj["group"], cap=cap)
     images = {name: group.parse_element(val) for name, val in obj["images"].items()}
@@ -441,18 +444,6 @@ def _tuple_iter(label: str, G: GroupTable, domains: dict[str, list[int]],
     yield from itertools.product(first, *(domains[n] for n in names[1:]))
 
 
-def _perm_prefilters(G: GroupTable):
-    """For a permutation target that is itself transitive (or primitive), a
-    proper subgroup that fails the same property cannot be the whole group."""
-    if not isinstance(G, groups.PermGroup):
-        return None
-    gens = [G.elem(g) for g in G.generators]
-    if not perms.is_transitive(G.degree, gens):
-        return None
-    primitive = G.degree <= 24 and perms.is_primitive(G.degree, gens)
-    return G.degree, primitive
-
-
 def search_epimorphisms(label: str, G: GroupTable, *,
                         exhaustive: bool = True,
                         limit: int | None = None,
@@ -465,10 +456,17 @@ def search_epimorphisms(label: str, G: GroupTable, *,
     ``even`` restricts to kernels inside the even subgroup by enumerating the
     index-2 characters of G and constraining image signs per the class.
     ``up_to_cycle_type`` restricts the first generator image to one
-    representative per cycle structure; valid when conjugation by the ambient
-    symmetric group induces automorphisms (S_n and A_n targets).
+    representative per cycle structure.  That is valid only when conjugation
+    by Sym(degree) induces automorphisms of G, so G must be Sym(n) or Alt(n)
+    of its degree, else :class:`SpecError`.
     Exhaustive mode with no witnesses is a proof of emptiness.
     """
+    if up_to_cycle_type:
+        if not isinstance(G, groups.PermGroup):
+            raise SpecError("up_to_cycle_type needs a permutation group")
+        if G.size not in (factorial(G.degree), factorial(G.degree) // 2):
+            raise SpecError(f"up_to_cycle_type needs Sym(n) or Alt(n); a group of "
+                            f"order {G.size} on {G.degree} points is neither")
     shape, _ = ORBIT_ROUTE[label]
     parity = EVEN_SIGNS[label] if even else None
     lams: list[list[int] | None]
@@ -479,7 +477,10 @@ def search_epimorphisms(label: str, G: GroupTable, *,
     else:
         lams = [None]
 
-    pre = _perm_prefilters(G)
+    # a tuple generating an intransitive subgroup cannot generate a
+    # transitive permutation target
+    transitive = isinstance(G, groups.PermGroup) and perms.is_transitive(
+        G.degree, [G.elem(g) for g in G.generators])
     names = GENERATOR_NAMES[shape]
     seen: set[tuple[int, ...]] = set()
     witnesses: list[dict[str, int]] = []
@@ -490,8 +491,6 @@ def search_epimorphisms(label: str, G: GroupTable, *,
         domains = _candidate_domains(shape, G, parity, lam)
         first_reps = None
         if up_to_cycle_type:
-            if not isinstance(G, groups.PermGroup):
-                raise SpecError("up_to_cycle_type needs a permutation group")
             by_type: dict[tuple[int, ...], int] = {}
             for x in domains[names[0]]:
                 t = perms.cycle_structure(G.elem(x))
@@ -501,13 +500,9 @@ def search_epimorphisms(label: str, G: GroupTable, *,
             if tup in seen:
                 continue
             examined += 1
-            if pre is not None:
-                degree, primitive = pre
-                tperms = [G.elem(x) for x in tup]
-                if not perms.is_transitive(degree, tperms):
-                    continue
-                if primitive and not perms.is_primitive(degree, tperms):
-                    continue
+            if transitive and \
+                    not perms.is_transitive(G.degree, [G.elem(x) for x in tup]):
+                continue
             if not G.generates(tup):
                 continue
             spec = EpimorphismSpec(shape, G, dict(zip(names, tup)))

@@ -91,9 +91,17 @@ def cmd_realize(args) -> int:
         return 0
 
 
+# the numeric option each parametrized family needs
+_FAMILY_PARAM = {"sym": "n", "sym_even": "n", "alt": "n", "alt_small": "n",
+                 "psl2": "q", "nilpotent_chiral": "e", "dihedral": "m"}
+
+
 def _cmd_realize(args) -> int:
     family = args.family.replace("-", "_")
     label = args.klass
+    param = _FAMILY_PARAM.get(family)
+    if param is not None and getattr(args, param) is None:
+        raise ValueError(f"--family {args.family} needs --{param}")
     if family == "sym":
         real = suites.sym_witness(label, args.n)
     elif family == "sym_even":

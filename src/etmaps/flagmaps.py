@@ -67,6 +67,11 @@ class FlagMap:
     def from_json(cls, obj) -> "FlagMap":
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if not isinstance(obj, dict):
+            raise MapError("a map must be a JSON object with r0, r1, r2 and flags")
+        missing = [k for k in ("r0", "r1", "r2", "flags") if k not in obj]
+        if missing:
+            raise MapError(f"map JSON lacks {', '.join(missing)}")
         m = cls(obj["r0"], obj["r1"], obj["r2"])
         if m.n != obj["flags"]:
             raise MapError("flags field does not match array length")

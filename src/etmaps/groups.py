@@ -7,15 +7,17 @@ their C2 extension by the automorphism ``g -> gh, h -> h^-1``, direct
 products, extensions by an involutory automorphism, and quotients.
 
 Automorphism questions are never answered by materializing Aut(G); they are
-phrased as extension questions on generating tuples (:func:`hom_extension`),
-which covers outer automorphisms with one algorithm.
+phrased as extension questions on generating tuples
+(:func:`hom_extension_exists`), which covers outer automorphisms.  On
+permutation groups generation and extension are order tests on stabilizer
+chains (:func:`perms.order_exceeds`); other tables walk the Cayley graph
+(:func:`hom_extension`, which also returns the image array).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import factorial
 from typing import Iterable, Sequence
 
 from . import perms
@@ -158,7 +160,6 @@ class PermGroup(GroupTable):
         self.size = len(elements)
         self.generators = [self._index[self._pack(g)] for g in gens]
         self._inv: list[int | None] = [None] * self.size
-        self._order_cache: int | None = None
 
     @classmethod
     def from_spec(cls, spec: perms.PermGroupSpec, cap: int = 10**7) -> "PermGroup":
@@ -202,18 +203,8 @@ class PermGroup(GroupTable):
         return super().parse_element(value)
 
     def generates(self, seed: Iterable[int]) -> bool:
-        seed = list(seed)
-        n = self.degree
-        # fast certificate for large symmetric/alternating targets; when it
-        # proves containment of Alt(n), an odd element settles the rest
-        if n >= 7 and self.size >= 50_000 and \
-                self.size in (factorial(n), factorial(n) // 2):
-            elems = [self._elems[s] for s in seed]
-            if perms.contains_alternating_certificate(n, elems):
-                if self.size == factorial(n) // 2:
-                    return True
-                return any(perms.sign(p) < 0 for p in elems)
-        return super().generates(seed)
+        """Exact, by a stabilizer chain: a subgroup has order at most size/2."""
+        return perms.order_exceeds([self._elems[s] for s in seed], self.size // 2)
 
 
 class GpefGroup(GroupTable):
@@ -604,7 +595,31 @@ def hom_extension(G: GroupTable, src: Sequence[int], dst: Sequence[int]) -> list
 
 
 def hom_extension_exists(G: GroupTable, src: Sequence[int], dst: Sequence[int]) -> bool:
-    return hom_extension(G, src, dst) is not None
+    """Does src_i -> dst_i extend to an automorphism of G?  ``src`` must
+    generate G.
+
+    On a :class:`PermGroup` this is decided by stabilizer chains.  The
+    diagonal subgroup <(src_i, dst_i)> of G x G, acting on 2 * degree points,
+    projects onto G; it is the graph of a homomorphism iff its order is |G|,
+    and that homomorphism is onto iff ``dst`` generates G.  Other groups walk
+    :func:`hom_extension`.
+    """
+    if not isinstance(G, PermGroup):
+        return hom_extension(G, src, dst) is not None
+    if len(src) != len(dst):
+        raise ValueError("src and dst must have equal length")
+    # order_exceeds rather than G.generates, so that per-layer traces count
+    # only the callers' own generation tests
+    half = G.size // 2
+    src_perms = [G.elem(x) for x in src]
+    if not perms.order_exceeds(src_perms, half):
+        raise ValueError("src does not generate the group")
+    n = G.degree
+    dst_perms = [G.elem(y) for y in dst]
+    diagonal = [a + tuple(j + n for j in b) for a, b in zip(src_perms, dst_perms)]
+    if perms.order_exceeds(diagonal, G.size):
+        return False
+    return perms.order_exceeds(dst_perms, half)
 
 
 @dataclass
@@ -857,6 +872,9 @@ def group_from_json(obj, cap: int = 10**7) -> GroupTable:
     or {"degree":n,"generators":[cycles-or-image-lists]}."""
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise ValueError("a group must be a JSON object: a family or degree "
+                         "and generators")
     fam = obj.get("family")
     if fam == "gpef":
         return GpefGroup(obj["p"], obj["e"], obj["f"])

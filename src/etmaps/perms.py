@@ -42,7 +42,7 @@ def compose(p: Perm, q: Perm) -> Perm:
     """p then q: ``compose(p, q)[i] = q[p[i]]``."""
     if len(p) != len(q):
         raise ValueError(f"degree mismatch: {len(p)} vs {len(q)}")
-    return tuple(q[p[i]] for i in range(len(p)))
+    return tuple(map(q.__getitem__, p))
 
 
 def inverse(p: Perm) -> Perm:
@@ -305,18 +305,99 @@ def bfs_closure(gens: Sequence[Perm], cap: int | None = None) -> list[Perm]:
     return elements
 
 
+class _Level:
+    """One level of a stabilizer chain: a base point, the strong generators
+    fixing every earlier base point, and an explicit transversal mapping each
+    orbit point ``q`` to ``(u, u^-1)`` with ``u[base] == q``."""
+
+    __slots__ = ("base", "gens", "orbit", "trans", "pending")
+
+    def __init__(self, base: int, ident: Perm):
+        self.base = base
+        self.gens: list[Perm] = []
+        self.orbit = [base]
+        self.trans: dict[int, tuple[Perm, Perm]] = {base: (ident, ident)}
+        # (orbit point, generator index) pairs whose Schreier generator is
+        # still to be sifted
+        self.pending: list[tuple[int, int]] = []
+
+
+def _stabilizer_order(gens: Sequence[Perm], bound: int | None) -> int | None:
+    """|<gens>| by deterministic Schreier-Sims, or None as soon as the product
+    of the transversal lengths, a lower bound on the order, exceeds ``bound``.
+
+    Every Schreier generator is sifted; a nontrivial residue becomes a strong
+    generator on the levels it reached, and a new level takes as base point
+    the first point the residue moves.  Levels are closed deepest first.
+    """
+    if bound is not None and bound < 1:
+        return None
+    gens = [tuple(g) for g in gens]
+    if not gens:
+        return 1
+    ident = tuple(range(len(gens[0])))
+    levels: list[_Level] = []
+    order = 1
+
+    def add_gen(g: Perm, first: int, last: int) -> None:
+        # g becomes a strong generator of levels first..last; last is one
+        # past the deepest level when g fixes every base point
+        if last == len(levels):
+            levels.append(_Level(next(i for i, j in enumerate(g) if i != j), ident))
+        for lv in levels[first:last + 1]:
+            k = len(lv.gens)
+            lv.gens.append(g)
+            lv.pending.extend((q, k) for q in lv.orbit)
+
+    for g in gens:
+        if g != ident:
+            add_gen(g, 0, 0)
+    level = len(levels) - 1
+    while level >= 0:
+        lv = levels[level]
+        if not lv.pending:
+            level -= 1
+            continue
+        q, k = lv.pending.pop()
+        s = lv.gens[k]
+        u = lv.trans[q][0]
+        r = s[q]
+        if r not in lv.trans:
+            us = compose(u, s)
+            lv.trans[r] = (us, inverse(us))
+            lv.orbit.append(r)
+            lv.pending.extend((r, i) for i in range(len(lv.gens)))
+            order = order // (len(lv.orbit) - 1) * len(lv.orbit)
+            if bound is not None and order > bound:
+                return None
+            continue
+        h = compose(compose(u, s), lv.trans[r][1])
+        j = level + 1
+        while h != ident and j < len(levels):
+            rep = levels[j].trans.get(h[levels[j].base])
+            if rep is None:
+                break
+            h = compose(h, rep[1])
+            j += 1
+        if h != ident:
+            add_gen(h, level + 1, j)
+            level = j
+    return order
+
+
+def order_exceeds(gens: Sequence[Perm], bound: int) -> bool:
+    """True iff ``|<gens>| > bound``.  Exact; the stabilizer chain stops as
+    soon as its lower bound on the order passes ``bound``."""
+    return _stabilizer_order(gens, bound) is None
+
+
 def group_order(spec: PermGroupSpec, cap: int = 10**7) -> int:
-    """Exact order of the generated group, by plain BFS closure."""
-    return len(bfs_closure(spec.generators, cap=cap))
-
-
-def closure_exceeds(gens: Sequence[Perm], bound: int) -> bool:
-    """True iff ``|<gens>| > bound``; stops as soon as the bound is passed."""
-    try:
-        bfs_closure(gens, cap=bound)
-    except CapExceeded:
-        return True
-    return False
+    """Exact order of the generated group, from a stabilizer chain.  Raises
+    :class:`CapExceeded` exactly when the order exceeds ``cap``."""
+    order = _stabilizer_order(spec.generators, cap)
+    if order is None:
+        raise CapExceeded(cap)
+    return order
 
 
 def contains_alternating_certificate(degree: int, gens: Sequence[Perm]) -> bool:

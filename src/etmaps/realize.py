@@ -12,9 +12,8 @@ negative is catalog data beyond desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
-from . import build, classes, fields, groups, perms
+from . import build, fields, groups, perms
 from .build import EpimorphismSpec, ORBIT_ROUTE
 from .fields import FiniteField, PSL2Element
 from .groups import PermGroup

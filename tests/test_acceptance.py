@@ -147,7 +147,7 @@ def test_criterion_9c_omega_equivariance():
 def test_criterion_9d_jordan_orders_on_even_corpus():
     """The even-realization constructions are primitive with a short-cycle
     power; by Jordan / its classification-strengthened form the closure must
-    be all of Sym(n).  Verified by exact BFS closure for n = 9 and 10."""
+    be all of Sym(n).  Verified by exact stabilizer-chain order for n = 9 and 10."""
     for n in (9, 10):
         r0, r1, r2 = realize._sym_even_class1_perms(n)
         gens = [r0, r1, r2]

@@ -160,6 +160,18 @@ def test_search_a6_class1_empty():
     assert res.proved_empty
 
 
+def test_search_up_to_cycle_type_needs_sym_or_alt():
+    # the dihedral group of order 16 on 8 points: cycle types are not orbits
+    # of its automorphism group, so the reduction would be unsound there
+    D8 = groups.PermGroup([P("(1,2,3,4,5,6,7,8)", 8), P("(1,8)(2,7)(3,6)(4,5)", 8)])
+    assert D8.size == 16
+    with pytest.raises(SpecError, match="Sym"):
+        search_epimorphisms("1", D8, up_to_cycle_type=True)
+    assert not search_epimorphisms("1", D8).proved_empty
+    for G in (realize.sym_group(3), realize.alt_group(4)):
+        search_epimorphisms("1", G, up_to_cycle_type=True)
+
+
 def test_search_s4_class1_nonempty():
     G = realize.sym_group(4)
     res = search_epimorphisms("1", G, exhaustive=False, limit=3)

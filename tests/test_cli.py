@@ -233,3 +233,42 @@ def test_console_script_declared():
     with pyproject.open("rb") as fh:
         meta = tomllib.load(fh)
     assert meta["project"]["scripts"]["etm"] == "etmaps.cli:main"
+
+
+def test_cycle_type_search_on_dihedral_is_input_error(tmp_path):
+    (tmp_path / "d8.json").write_text(json.dumps(
+        {"degree": 8, "generators": ["(1,2,3,4,5,6,7,8)", "(1,8)(2,7)(3,6)(4,5)"]}))
+    proc = run_module(["search", "--class", "1", "--group", "d8.json",
+                       "--up-to-cycle-type"], cwd=tmp_path)
+    _assert_input_error(proc)
+    assert "Sym(n) or Alt(n)" in proc.stderr
+
+
+def test_spec_images_as_list_is_input_error(tmp_path):
+    obj = json.loads(spec_json())
+    obj["images"] = list(obj["images"].values())
+    (tmp_path / "spec.json").write_text(json.dumps(obj))
+    proc = run_module(["build", "--spec", "spec.json"], cwd=tmp_path)
+    _assert_input_error(proc)
+    assert "images" in proc.stderr
+
+
+def test_group_as_list_is_input_error(tmp_path):
+    (tmp_path / "g.json").write_text(json.dumps([[1, 0, 2], [0, 2, 1]]))
+    proc = run_module(["search", "--class", "1", "--group", "g.json"], cwd=tmp_path)
+    _assert_input_error(proc)
+    assert "group" in proc.stderr
+
+
+def test_realize_without_degree_is_input_error():
+    proc = run_module(["realize", "--family", "sym", "--class", "1"])
+    _assert_input_error(proc)
+    assert "--n" in proc.stderr
+
+
+def test_map_without_r2_is_input_error(tmp_path):
+    (tmp_path / "m.json").write_text(json.dumps({"r0": [1, 0], "r1": [0, 1],
+                                                 "flags": 2}))
+    proc = run_module(["info", "m.json"], cwd=tmp_path)
+    _assert_input_error(proc)
+    assert "r2" in proc.stderr and proc.stderr.strip() != "error: 'r2'"

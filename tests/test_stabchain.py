@@ -1,0 +1,150 @@
+"""Differential tests of the stabilizer chain behind group order, generation
+and automorphism extension on permutation groups.
+
+The references are the closures the chain replaced: the BFS element list
+(``perms.bfs_closure``), the subgroup closure of ``GroupTable.generates`` and
+the Cayley-graph walk ``groups.hom_extension``; sympy's independent
+Schreier-Sims is a further oracle where it is installed.
+"""
+
+import itertools
+import math
+import random
+
+import pytest
+
+from etmaps import fields, groups, perms, realize
+from etmaps.groups import GroupTable, PermGroup, hom_extension, hom_extension_exists
+from etmaps.perms import CapExceeded
+
+
+def _random_perm(rng: random.Random, n: int) -> tuple[int, ...]:
+    p = list(range(n))
+    if rng.random() < 0.5:
+        rng.shuffle(p)
+    else:  # sparse generators give small and intransitive groups too
+        for _ in range(rng.randint(1, 2)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            p[i], p[j] = p[j], p[i]
+    return tuple(p)
+
+
+def _random_gen_sets(seed: int, count: int, max_degree: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_degree)
+        yield [_random_perm(rng, n) for _ in range(rng.choice((2, 3)))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_order_matches_bfs_closure(seed):
+    for gens in _random_gen_sets(seed, 150, 8):
+        order = len(perms.bfs_closure(gens))
+        assert perms.group_order(perms.group_spec(gens)) == order, gens
+        for bound in {0, 1, order // 2, order - 1, order, order + 1}:
+            assert perms.order_exceeds(gens, bound) == (order > bound), (gens, bound)
+
+
+def test_group_order_raises_exactly_above_cap():
+    for gens in _random_gen_sets(7, 60, 7):
+        spec = perms.group_spec(gens)
+        order = len(perms.bfs_closure(gens))
+        assert perms.group_order(spec, cap=order) == order
+        with pytest.raises(CapExceeded) as err:
+            perms.group_order(spec, cap=order - 1)
+        assert err.value.cap == order - 1
+
+
+def test_order_matches_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    for gens in _random_gen_sets(11, 120, 12):
+        want = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g)) for g in gens]).order()
+        assert perms.group_order(perms.group_spec(gens), cap=10**12) == want, gens
+
+
+def test_order_of_large_symmetric_groups():
+    for n in (10, 12, 16):
+        cycle = tuple(list(range(1, n)) + [0])
+        swap = tuple([1, 0] + list(range(2, n)))
+        assert perms.group_order(perms.group_spec([cycle, swap]),
+                                 cap=10**20) == math.factorial(n)
+
+
+def _l2_7() -> PermGroup:
+    return PermGroup(fields.psl2_group_generators(fields.FiniteField(7)))
+
+
+@pytest.mark.parametrize("G", [realize.sym_group(4), realize.alt_group(5)],
+                         ids=["S4", "A5"])
+def test_generates_matches_closure_on_every_pair(G):
+    for pair in itertools.product(range(G.size), repeat=2):
+        assert G.generates(pair) == GroupTable.generates(G, pair), pair
+
+
+def test_generates_matches_closure_on_random_pairs_l2_7():
+    G = _l2_7()
+    assert (G.degree, G.size) == (8, 168)
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(400):
+        pair = (rng.randrange(G.size), rng.randrange(G.size))
+        want = GroupTable.generates(G, pair)
+        assert G.generates(pair) == want, pair
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def _extension_groups():
+    # in C2 x C4 = <a> x <b>, (a, b) -> (b, a) has a generating image while
+    # its diagonal has order exactly 2|G|, so the bound |G| is checked tightly
+    return {"S4": realize.sym_group(4), "S5": realize.sym_group(5),
+            "A5": realize.alt_group(5), "L2(7)": _l2_7(),
+            "AGL1(8)": realize.agl1_8_group()[0],
+            "C2xC4": PermGroup([perms.parse_cycles("(1,2)", 6),
+                                perms.parse_cycles("(3,4,5,6)", 6)])}
+
+
+@pytest.mark.parametrize("name", ["S4", "S5", "A5", "L2(7)", "AGL1(8)", "C2xC4"])
+def test_hom_extension_exists_matches_cayley_walk(name):
+    G = _extension_groups()[name]
+    rng = random.Random(name)
+    verdicts = set()
+    tried = 0
+    while tried < 120:
+        src = tuple(rng.randrange(G.size) for _ in range(rng.choice((2, 3))))
+        if not GroupTable.generates(G, src):
+            with pytest.raises(ValueError):
+                hom_extension_exists(G, src, src)
+            continue
+        tried += 1
+        g = rng.randrange(G.size)
+        inner = tuple(G.conjugate(s, g) for s in src)
+        scrambled = tuple(rng.randrange(G.size) for _ in src)
+        swapped = src[1:] + src[:1]
+        trivial = (0,) * len(src)  # a homomorphism, but not onto
+        for dst in (inner, scrambled, swapped, trivial):
+            want = hom_extension(G, src, dst) is not None
+            assert hom_extension_exists(G, src, dst) == want, (src, dst)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_hom_extension_exists_rejects_bad_input():
+    G = realize.sym_group(4)
+    a, b = G.generators
+    with pytest.raises(ValueError):
+        hom_extension_exists(G, (a, b), (a,))
+    # a transposition and a 3-cycle sharing two points generate only S3
+    t = G.id_of(perms.parse_cycles("(1,2)", 4))
+    c = G.id_of(perms.parse_cycles("(1,2,3)", 4))
+    with pytest.raises(ValueError):
+        hom_extension_exists(G, (t, c), (t, c))
+
+
+def test_hom_extension_on_tables_keeps_the_walk():
+    # a table-only group still answers through the Cayley-graph walk
+    G = groups.GpefGroup(3, 2, 1)
+    g, h = G.generators
+    assert hom_extension_exists(G, (g, h), (g, h))
+    assert not hom_extension_exists(G, (g, h), (h, g))
