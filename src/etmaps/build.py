@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass
 from math import factorial
 
+import numpy as np
+
 from . import groups, perms
 from .flagmaps import FlagMap
 from .groups import GroupTable
@@ -210,6 +212,8 @@ def spec_from_json(obj, group: GroupTable | None = None, cap: int = 10**7) -> Ep
         raise SpecError("a spec must be a JSON object whose \"images\" is an "
                         "object from generator names to elements")
     if group is None:
+        if "group" not in obj:
+            raise SpecError("the spec has no \"group\" field giving its target group")
         group = groups.group_from_json(obj["group"], cap=cap)
     images = {name: group.parse_element(val) for name, val in obj["images"].items()}
     return EpimorphismSpec(obj.get("class", obj.get("class_label")), group, images)
@@ -251,17 +255,13 @@ def build_map(spec: EpimorphismSpec) -> FlagMap:
     G = spec.group
     table = _TABLES[spec.class_label]
     nt = table.transversal
-    mult: dict[Word, list[int]] = {}
+    mult: dict[Word, np.ndarray] = {}
+    arrays = [np.zeros(G.size * nt, dtype=np.int64) for _ in range(3)]
     for (i, j), (word, k) in table.moves.items():
         if word not in mult:
             w_elt = _interp(G, spec.images, word)
-            mult[word] = [G.product(g, w_elt) for g in range(G.size)]
-    arrays = [[0] * (G.size * nt) for _ in range(3)]
-    for (i, j), (word, k) in table.moves.items():
-        rm = mult[word]
-        arr = arrays[i]
-        for g in range(G.size):
-            arr[g * nt + j] = rm[g] * nt + k
+            mult[word] = np.array(G.right_mult(w_elt), dtype=np.int64)
+        arrays[i][j::nt] = mult[word] * nt + k
     return FlagMap(arrays[0], arrays[1], arrays[2])
 
 

@@ -109,8 +109,7 @@ def classify(m: FlagMap) -> str | None:
     quotient = flagmaps.quotient_by_aut(m)
     if quotient.n > 4:
         return None
-    _, edge_orbits = perms.orbit_ids(quotient.n, [quotient.r[0].tolist(),
-                                                  quotient.r[2].tolist()])
+    _, edge_orbits = perms.orbit_ids(quotient.n, [quotient.r[0], quotient.r[2]])
     if edge_orbits != 1:
         return None
     for label in LABELS:

@@ -135,6 +135,9 @@ def _cmd_realize(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.klass not in build.ORBIT_ROUTE:
+        raise ValueError(f"unknown class label {args.klass!r}; the labels are "
+                         + ", ".join(classes.LABELS))
     G = groups.group_from_json(json.loads(_read(args.group)), cap=args.cap)
     result = build.search_epimorphisms(
         args.klass, G,

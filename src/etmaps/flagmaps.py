@@ -5,15 +5,20 @@ flags.  Vertices, edges and faces are the orbits of <r1,r2>, <r0,r2> and
 <r0,r1>; the automorphism group is the centralizer of the monodromy group in
 Sym(flags), computed here by color refinement plus exact extension tests.
 
-Disconnected flag triples are rejected at construction; ``join`` is the only
+Every map caches one BFS spanning tree of its flag graph from flag 0, built
+at construction.  The extension walk and the orientation colouring run on it
+layer by layer as array gathers; the stabilizer filter walks its paths back
+to flag 0.  Disconnected flag triples are rejected at
+construction (the tree does not reach every flag); ``join`` is the only
 operation that extracts a component.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,10 +30,67 @@ class MapError(ValueError):
     pass
 
 
-class FlagMap:
-    """Immutable: n_flags and the three involution image arrays."""
+class _Tree(NamedTuple):
+    """BFS spanning tree of the flag graph from flag 0.  Flags are discovered
+    by frontier position, then generator 0, 1, 2, first discovery winning.
 
-    __slots__ = ("n", "r", "_colors", "_aut")
+    ``parent[y]`` and ``gen[y]`` give the tree edge y = r_gen(parent); flag 0
+    is its own parent.  ``chunks`` lists, layer by layer, one
+    ``(generator, children, parents)`` triple per generator in use, so a map
+    defined on one layer extends to the next by one gather per chunk.
+    """
+
+    parent: np.ndarray
+    gen: np.ndarray
+    chunks: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+
+
+def _spanning_tree(r: tuple[np.ndarray, ...], n: int) -> _Tree | None:
+    """The BFS tree of :class:`_Tree`, or None when it misses some flag."""
+    if n == 0:
+        return None
+    images = np.stack(r, axis=1, dtype=np.int32)  # row x: r0[x], r1[x], r2[x]
+    unseen = 3 * n
+    # the least candidate position naming each flag; -1 for the root
+    first = np.full(n, unseen, dtype=np.int64)
+    first[0] = -1
+    parent = np.zeros(n, dtype=np.int32)
+    gen = np.zeros(n, dtype=np.int8)
+    chunks = []
+    frontier = np.zeros(1, dtype=np.int32)
+    reached = 1
+    while True:
+        # candidates in (frontier position, generator) order
+        cand = images[frontier].ravel()
+        pos = np.flatnonzero(first[cand] == unseen)
+        if not pos.size:
+            break
+        np.minimum.at(first, cand[pos], pos)
+        pos = pos[first[cand[pos]] == pos]  # first discovery wins
+        children = cand[pos]
+        parents = frontier[pos // 3]
+        gens = pos % 3
+        parent[children] = parents
+        gen[children] = gens
+        by_gen = np.argsort(gens, kind="stable")
+        kids, pars = children[by_gen], parents[by_gen]
+        start = 0
+        for s, count in enumerate(np.bincount(gens, minlength=3).tolist()):
+            if count:
+                chunks.append((s, kids[start:start + count], pars[start:start + count]))
+                start += count
+        reached += children.size
+        frontier = children
+    if reached != n:
+        return None
+    return _Tree(parent, gen, tuple(chunks))
+
+
+class FlagMap:
+    """Immutable: n_flags, the three involution image arrays and the cached
+    BFS spanning tree of the flag graph."""
+
+    __slots__ = ("n", "r", "_tree", "_colors", "_aut")
 
     def __init__(self, r0: Sequence[int], r1: Sequence[int], r2: Sequence[int]):
         arrs = []
@@ -43,10 +105,12 @@ class FlagMap:
         r0a, r1a, r2a = arrs
         if not np.array_equal(r0a[r2a], r2a[r0a]):
             raise MapError("(r0 r2)^2 = 1 fails")
-        if perms.orbit_ids(n, [a.tolist() for a in arrs])[1] != 1:
+        tree = _spanning_tree((r0a, r1a, r2a), n)
+        if tree is None:
             raise MapError("flag action is not connected")
         self.n = n
         self.r = (r0a, r1a, r2a)
+        self._tree = tree
         self._colors = None
         self._aut = None
 
@@ -120,7 +184,7 @@ class MapSummary:
 
 
 def summary(m: FlagMap) -> MapSummary:
-    r0, r1, r2 = (arr.tolist() for arr in m.r)
+    r0, r1, r2 = m.r
     _, V = perms.orbit_ids(m.n, [r1, r2])
     edge_ids, E = perms.orbit_ids(m.n, [r0, r2])
     _, F = perms.orbit_ids(m.n, [r0, r1])
@@ -153,8 +217,11 @@ def _stable_colors(m: FlagMap) -> np.ndarray:
               + 8 * (r0[r2] == idx))
     n_colors = len(np.unique(colors))
     while True:
-        stacked = np.stack([colors, colors[r0], colors[r1], colors[r2]], axis=1)
-        _, new = np.unique(stacked, axis=0, return_inverse=True)
+        # rank the rows (c, c r0, c r1, c r2) lexicographically, one column
+        # at a time on 1-D keys
+        new, base = colors, int(colors.max()) + 1
+        for arr in m.r:
+            _, new = np.unique(new * base + colors[arr], return_inverse=True)
         k = int(new.max()) + 1
         if k == n_colors:
             break
@@ -163,60 +230,38 @@ def _stable_colors(m: FlagMap) -> np.ndarray:
     return colors
 
 
-def _rooted_match(m1: FlagMap, root1: int, m2: FlagMap,
-                  root2: int) -> np.ndarray | None:
-    """The isomorphism commuting with all three involutions that sends flag
-    root1 of m1 to root2 of m2, as a flag image array, or None.  It is unique
-    when it exists, since the flag action is connected; with m1 = m2 and
-    root1 = 0 it is the automorphism sending flag 0 to root2."""
+def _rooted_match(m1: FlagMap, m2: FlagMap, root2: int) -> np.ndarray | None:
+    """The isomorphism commuting with all three involutions that sends flag 0
+    of m1 to flag root2 of m2, as a flag image array, or None.  It is unique
+    when it exists, since the flag action is connected: it is extended along
+    m1's spanning tree one gather per chunk, then checked on every flag.  With
+    m1 = m2 it is the automorphism sending flag 0 to root2."""
     if m1.n != m2.n:
         return None
-    a = np.full(m1.n, -1, dtype=np.int64)
-    a[root1] = root2
-    stack = [root1]
-    while stack:
-        x = stack.pop()
-        ax = a[x]
-        for arr1, arr2 in zip(m1.r, m2.r):
-            y = int(arr1[x])
-            ay = int(arr2[ax])
-            if a[y] == -1:
-                a[y] = ay
-                stack.append(y)
-            elif a[y] != ay:
-                return None
+    a = np.empty(m1.n, dtype=np.int64)
+    a[0] = root2
+    for s, children, parents in m1._tree.chunks:
+        a[children] = m2.r[s][a[parents]]
+    for arr1, arr2 in zip(m1.r, m2.r):
+        if not np.array_equal(a[arr1], arr2[a]):
+            return None
     return a
 
 
-def _stabilizer_filter(m: FlagMap, candidates: np.ndarray,
-                       rounds: int = 8) -> np.ndarray:
+_STABILIZER_ROUNDS = 8
+
+
+def _stabilizer_filter(m: FlagMap, candidates: np.ndarray) -> np.ndarray:
     """Shrink the candidate images of flag 0 using random elements of its
     monodromy stabilizer, evaluated as whole flag arrays.
 
     An automorphism maps flag 0 to c only if every word fixing 0 also fixes
     c, so candidates moved by a stabilizer element are discarded exactly.
     """
-    import random
     rng = random.Random(12345)
     n = m.n
-    # BFS spanning tree from flag 0: parent flag and generator label
-    parent = np.full(n, -1, dtype=np.int64)
-    psym = np.zeros(n, dtype=np.int8)
-    parent[0] = 0
-    frontier = [0]
-    order_oldest_first = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for i, arr in enumerate(m.r):
-                y = int(arr[x])
-                if parent[y] == -1 and y != 0:
-                    parent[y] = x
-                    psym[y] = i
-                    nxt.append(y)
-        frontier = nxt
-        order_oldest_first.extend(nxt)
-    for _ in range(rounds):
+    parent, psym = m._tree.parent, m._tree.gen
+    for _ in range(_STABILIZER_ROUNDS):
         if len(candidates) <= 64:
             break
         word = [rng.randrange(3) for _ in range(24)]
@@ -274,7 +319,7 @@ def aut_generators(m: FlagMap) -> tuple[list[np.ndarray], np.ndarray]:
         c = int(cand)
         if in_orbit[c] or ruled_out[c]:
             continue
-        g = _rooted_match(m, 0, m, c)
+        g = _rooted_match(m, m, c)
         if g is not None:
             inv = np.empty(m.n, dtype=np.int64)
             inv[g] = np.arange(m.n)
@@ -286,7 +331,7 @@ def aut_generators(m: FlagMap) -> tuple[list[np.ndarray], np.ndarray]:
             # a(0) = h(c) succeeded, then h^-1 a would map 0 to c; so the
             # whole current orbit of a failed candidate fails with it
             close(ruled_out, c)
-    ids, _ = perms.orbit_ids(m.n, [g.tolist() for g in gens])
+    ids, _ = perms.orbit_ids(m.n, gens)
     m._aut = (gens, np.asarray(ids, dtype=np.int64))
     return m._aut
 
@@ -315,21 +360,14 @@ def is_edge_transitive(m: FlagMap) -> bool:
     connect all flags."""
     gens, _ = aut_generators(m)
     arrays = [m.r[0], m.r[2]] + list(gens)
-    return perms.orbit_ids(m.n, [a.tolist() for a in arrays])[1] == 1
+    return perms.orbit_ids(m.n, arrays)[1] == 1
 
 
 def quotient_by_aut(m: FlagMap) -> FlagMap:
     """Flags = Aut-orbits with the induced involutions; well defined because
     Aut centralizes the monodromy group."""
     _, orbit_ids = aut_generators(m)
-    k = int(orbit_ids.max()) + 1
-    rep = np.zeros(k, dtype=np.int64)
-    seen = np.zeros(k, dtype=bool)
-    for flag in range(m.n):
-        o = int(orbit_ids[flag])
-        if not seen[o]:
-            seen[o] = True
-            rep[o] = flag
+    _, rep = np.unique(orbit_ids, return_index=True)  # least flag of each orbit
     new_r = []
     for arr in m.r:
         img = orbit_ids[arr[rep]]
@@ -351,26 +389,31 @@ def is_isomorphic(m1: FlagMap, m2: FlagMap) -> bool:
         return False
     # color refinement is canonical, so an isomorphism maps a flag only to a
     # flag of the same color
-    roots = np.nonzero(c1 == c2[0])[0]
-    return any(_rooted_match(m1, int(root), m2, 0) is not None for root in roots)
+    return _any_root_matches(m1, m2, np.nonzero(c1 == c2[0])[0])
+
+
+def _any_root_matches(m1: FlagMap, m2: FlagMap, roots: np.ndarray) -> bool:
+    """Is there an isomorphism m2 -> m1 sending flag 0 to one of ``roots``?
+
+    One root per Aut(m1)-orbit is enough: if a: m2 -> m1 sends 0 to r and h
+    is in Aut(m1), then h a sends 0 to h(r).  The first root of each orbit is
+    tried, and the inverse of a match is an isomorphism m1 -> m2."""
+    _, orbit_ids = aut_generators(m1)
+    _, first = np.unique(orbit_ids[roots], return_index=True)
+    return any(_rooted_match(m2, m1, int(root)) is not None
+               for root in roots[np.sort(first)])
 
 
 def orientation_classes(m: FlagMap) -> np.ndarray | None:
     """The 2-coloring of flags swapped by every r_i (flag 0 colored 0), or
-    None when the map has boundary or is non-orientable."""
-    color = np.full(m.n, -1, dtype=np.int8)
-    color[0] = 0
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        c = 1 - color[x]
-        for arr in m.r:
-            y = int(arr[x])
-            if color[y] == -1:
-                color[y] = c
-                stack.append(y)
-            elif color[y] != c:
-                return None
+    None when the map has boundary or is non-orientable.  Such a coloring is
+    the parity of the depth in the spanning tree, if any."""
+    color = np.zeros(m.n, dtype=np.int8)
+    for _, children, parents in m._tree.chunks:
+        color[children] = color[parents] ^ 1
+    for arr in m.r:
+        if np.any(color[arr] == color):
+            return None
     return color
 
 
@@ -385,8 +428,7 @@ def is_isomorphic_oriented(m1: FlagMap, m2: FlagMap) -> bool:
         raise MapError("oriented isomorphism needs orientable maps without boundary")
     if m1.n != m2.n:
         return False
-    return any(_rooted_match(m1, int(root), m2, 0) is not None
-               for root in np.nonzero(c1 == 0)[0])
+    return _any_root_matches(m1, m2, np.nonzero(c1 == 0)[0])
 
 
 def join(m1: FlagMap, m2: FlagMap) -> FlagMap:

@@ -20,6 +20,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import perms
 from .perms import CapExceeded, Perm
 
@@ -46,6 +48,10 @@ class GroupTable:
 
     def inverse(self, a: int) -> int:
         raise NotImplementedError
+
+    def right_mult(self, w: int) -> list[int]:
+        """The ids of g w for every element id g, in order."""
+        return [self.product(g, w) for g in range(self.size)]
 
     def label(self, a: int) -> str:
         return str(a)
@@ -160,6 +166,7 @@ class PermGroup(GroupTable):
         self.size = len(elements)
         self.generators = [self._index[self._pack(g)] for g in gens]
         self._inv: list[int | None] = [None] * self.size
+        self._keyed = None  # element matrix, sorted packed keys, their ids
 
     @classmethod
     def from_spec(cls, spec: perms.PermGroupSpec, cap: int = 10**7) -> "PermGroup":
@@ -176,6 +183,21 @@ class PermGroup(GroupTable):
 
     def product(self, a: int, b: int) -> int:
         return self._index[self._pack(perms.compose(self._elems[a], self._elems[b]))]
+
+    def right_mult(self, w: int) -> list[int]:
+        """One gather on the (size, degree) element matrix, then ids by
+        binary search in the sorted packed keys; the product loop above
+        :data:`perms.PACKED_DEGREE`."""
+        if self.degree > perms.PACKED_DEGREE:
+            return super().right_mult(w)
+        if self._keyed is None:
+            elems = np.array(self._elems, dtype=np.uint8)
+            keys = perms.packed_rows(elems)
+            ids = np.argsort(keys)
+            self._keyed = (elems, keys[ids], ids)
+        elems, sorted_keys, ids = self._keyed
+        products = elems[w][elems]  # row g: apply g, then w
+        return ids[np.searchsorted(sorted_keys, perms.packed_rows(products))].tolist()
 
     def inverse(self, a: int) -> int:
         cached = self._inv[a]

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
+import numpy as np
+
 Perm = tuple[int, ...]
 
 
@@ -206,11 +208,16 @@ def _parts(ids: list[int], count: int) -> list[list[int]]:
     return parts
 
 
-def orbit_ids(degree: int, gens: Iterable[Sequence[int]]) -> tuple[list[int], int]:
+def orbit_ids(degree: int, gens: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     """Orbit id of every point under the generated group, numbered by least
     member from 0, and the orbit count.  ``gens`` may be any integer
-    sequences (tuples, lists, ``ndarray.tolist()``); no generators leaves
-    every point in its own orbit."""
+    sequences; no generators leaves every point in its own orbit.
+
+    Numpy arrays (flag maps) are labelled by array code.  Tuples and lists
+    (the search's many calls on a handful of points, where numpy's fixed
+    cost per call would dominate) go through the union-find."""
+    if gens and isinstance(gens[0], np.ndarray):
+        return _orbit_ids_array(degree, gens)
     parent = list(range(degree))
     for g in gens:
         for i, j in enumerate(g):
@@ -220,6 +227,34 @@ def orbit_ids(degree: int, gens: Iterable[Sequence[int]]) -> tuple[list[int], in
             elif rj < ri:
                 parent[ri] = rj
     return _numbered(parent)
+
+
+def _orbit_ids_array(degree: int, gens: list[np.ndarray]) -> tuple[list[int], int]:
+    """:func:`orbit_ids` by array code.  Each label names a point of the same
+    orbit, no larger than the point itself.  Across every generator edge the
+    larger label is hooked to the smaller, then labels are pointer-jumped to
+    a fixed point; when no edge joins two labels, each orbit is labelled by
+    its least member."""
+    label = np.arange(degree)
+    while True:
+        hooked = False
+        for g in gens:
+            other = label[g]
+            differ = label != other
+            if differ.any():
+                a, b = label[differ], other[differ]
+                np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+                hooked = True
+        if not hooked:
+            break
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    roots = label == np.arange(degree)
+    number = np.cumsum(roots) - 1
+    return number[label].tolist(), int(roots.sum())
 
 
 def orbits(degree: int, gens: Sequence[Perm]) -> list[list[int]]:
@@ -267,9 +302,12 @@ def is_primitive(degree: int, gens: Sequence[Perm]) -> bool:
 
 # -- closure / group order ----------------------------------------------------
 
+PACKED_DEGREE = 16  # up to here a point fits in 4 bits, a permutation in 64
+
+
 def _packer(degree: int):
-    """Dense integer keys for degrees <= 16, tuples otherwise."""
-    if degree <= 16:
+    """Dense integer keys for degrees <= PACKED_DEGREE, tuples otherwise."""
+    if degree <= PACKED_DEGREE:
         def pack(p: Perm) -> int:
             key = 0
             for i in reversed(p):
@@ -277,6 +315,13 @@ def _packer(degree: int):
             return key
         return pack
     return lambda p: p
+
+
+def packed_rows(rows: np.ndarray) -> np.ndarray:
+    """The :func:`_packer` key of each row of a (k, degree) array of
+    permutations, degree <= PACKED_DEGREE: point i in bits 4i..4i+3."""
+    shifts = np.arange(rows.shape[1], dtype=np.uint64) * np.uint64(4)
+    return np.bitwise_or.reduce(rows.astype(np.uint64) << shifts, axis=1)
 
 
 def bfs_closure(gens: Sequence[Perm], cap: int | None = None) -> list[Perm]:

@@ -272,3 +272,21 @@ def test_map_without_r2_is_input_error(tmp_path):
     proc = run_module(["info", "m.json"], cwd=tmp_path)
     _assert_input_error(proc)
     assert "r2" in proc.stderr and proc.stderr.strip() != "error: 'r2'"
+
+
+def test_spec_without_group_is_input_error(tmp_path):
+    obj = json.loads(spec_json())
+    del obj["group"]
+    (tmp_path / "spec.json").write_text(json.dumps(obj))
+    proc = run_module(["build", "--spec", "spec.json"], cwd=tmp_path)
+    _assert_input_error(proc)
+    assert '"group" field' in proc.stderr
+
+
+def test_search_unknown_class_is_input_error(tmp_path):
+    (tmp_path / "g.json").write_text(json.dumps(
+        {"degree": 4, "generators": ["(1,2,3,4)", "(1,2)"]}))
+    proc = run_module(["search", "--class", "9", "--group", "g.json"], cwd=tmp_path)
+    _assert_input_error(proc)
+    assert "unknown class label '9'" in proc.stderr
+    assert "2Pex" in proc.stderr and "5P" in proc.stderr

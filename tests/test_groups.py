@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from etmaps import groups, perms, realize
+from etmaps import fields, groups, perms, realize
 from etmaps.groups import (GpefAlphaGroup, GpefGroup, PermGroup, center,
                            conjugacy_classes, count_triples_brute,
                            derived_length, derived_series, derived_subgroup,
@@ -199,3 +201,22 @@ def test_quotient_requires_normal():
     sub = G.subgroup([G.id_of(P("(1,2)", 3))])
     with pytest.raises(ValueError):
         quotient(G, sub)
+
+
+_RIGHT_MULT_GROUPS = {
+    "S4": lambda: realize.sym_group(4),
+    "A5": lambda: realize.alt_group(5),
+    "L2(7)": lambda: PermGroup(fields.psl2_group_generators(fields.FiniteField(7))),
+    "AGL1(8)": lambda: realize.agl1_8_group()[0],
+    "S8": lambda: realize.sym_group(8),
+    # above degree 16 the product loop itself answers
+    "S3-on-17": lambda: PermGroup([P("(1,2,3)", 17), P("(1,2)", 17)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RIGHT_MULT_GROUPS))
+def test_right_mult_matches_product_loop(name):
+    G = _RIGHT_MULT_GROUPS[name]()
+    ws = random.Random(4).sample(range(G.size), 50) if G.size > 1000 else range(G.size)
+    for w in ws:
+        assert G.right_mult(w) == [G.product(g, w) for g in range(G.size)]

@@ -1,0 +1,385 @@
+"""The map-layer array kernels against plain Python oracles, on random
+connected flag triples.
+
+The triples are built from random edge blocks glued by a random r1: closed
+orientable ones, closed ones with an arbitrary r1 (mostly non-orientable),
+and ones with boundary, from 1 to about 200 flags.  Double covers of them
+have a nontrivial automorphism, so isomorphism tests see more than one
+automorphism orbit per colour class.  Two maps of 100,000 flags shaped as a
+long path and a long cycle give spanning trees of depth 50,000 and more.
+
+The oracles are the Python walks these kernels replaced: the depth-first
+extension walk, the depth-first orientation 2-colouring, and colour
+refinement ranking whole rows with ``np.unique(..., axis=0)``.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from etmaps import build, classes, flagmaps, perms, realize
+from etmaps.flagmaps import FlagMap, MapError
+
+
+# -- oracles ---------------------------------------------------------------------
+
+def _walk_match(m1: FlagMap, root1: int, m2: FlagMap, root2: int):
+    """The isomorphism sending root1 to root2, by depth-first extension."""
+    if m1.n != m2.n:
+        return None
+    a = np.full(m1.n, -1, dtype=np.int64)
+    a[root1] = root2
+    stack = [root1]
+    while stack:
+        x = stack.pop()
+        ax = a[x]
+        for arr1, arr2 in zip(m1.r, m2.r):
+            y = int(arr1[x])
+            ay = int(arr2[ax])
+            if a[y] == -1:
+                a[y] = ay
+                stack.append(y)
+            elif a[y] != ay:
+                return None
+    return a
+
+
+def _dfs_orientation(m: FlagMap):
+    """The 2-colouring swapped by every r_i with flag 0 coloured 0, by
+    depth-first search, or None."""
+    color = np.full(m.n, -1, dtype=np.int8)
+    color[0] = 0
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        c = 1 - color[x]
+        for arr in m.r:
+            y = int(arr[x])
+            if color[y] == -1:
+                color[y] = c
+                stack.append(y)
+            elif color[y] != c:
+                return None
+    return color
+
+
+def _python_bfs_tree(m: FlagMap):
+    """Parent and generator label of every flag in the breadth-first tree
+    from flag 0, scanning each frontier in order and r0, r1, r2 at each
+    flag; the first discovery wins."""
+    parent = np.full(m.n, -1, dtype=np.int64)
+    gen = np.zeros(m.n, dtype=np.int8)
+    parent[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for i, arr in enumerate(m.r):
+                y = int(arr[x])
+                if parent[y] == -1 and y != 0:
+                    parent[y] = x
+                    gen[y] = i
+                    nxt.append(y)
+        frontier = nxt
+    return parent, gen
+
+
+def _row_colors(m: FlagMap) -> np.ndarray:
+    """Colour refinement ranking the rows (c, c r0, c r1, c r2) at once."""
+    idx = np.arange(m.n)
+    r0, r1, r2 = m.r
+    colors = ((r0 == idx).astype(np.int64) + 2 * (r1 == idx) + 4 * (r2 == idx)
+              + 8 * (r0[r2] == idx))
+    n_colors = len(np.unique(colors))
+    while True:
+        stacked = np.stack([colors, colors[r0], colors[r1], colors[r2]], axis=1)
+        _, new = np.unique(stacked, axis=0, return_inverse=True)
+        new = new.reshape(-1)
+        k = int(new.max()) + 1
+        if k == n_colors:
+            return colors
+        colors, n_colors = new, k
+
+
+def _brute_isomorphic(m1: FlagMap, m2: FlagMap, oriented: bool = False) -> bool:
+    """Some root of m1 (of orientation class 0 if oriented) extends to an
+    isomorphism onto m2 sending it to flag 0."""
+    roots = range(m1.n)
+    if oriented:
+        color = _dfs_orientation(m1)
+        roots = [x for x in roots if color[x] == 0]
+    return any(_walk_match(m1, x, m2, 0) is not None for x in roots)
+
+
+# -- random connected flag triples -------------------------------------------------
+
+def _relabel(m: FlagMap, p: np.ndarray) -> FlagMap:
+    """The map with flag x renamed p[x]."""
+    arrays = []
+    for r in m.r:
+        a = np.empty(m.n, dtype=np.int64)
+        a[p] = p[r]
+        arrays.append(a)
+    return FlagMap(*arrays)
+
+
+def _matching(rng, flags, fixed_share=0.0) -> list[tuple[int, int]]:
+    """Random pairs of ``flags``; each flag stays unpaired with the given
+    probability."""
+    flags = list(flags)
+    rng.shuffle(flags)
+    free = [x for x in flags if rng.random() >= fixed_share]
+    return list(zip(free[::2], free[1::2]))
+
+
+def _involution(n, pairs) -> list[int]:
+    r = list(range(n))
+    for x, y in pairs:
+        r[x], r[y] = y, x
+    return r
+
+
+def _random_triple(rng, n_blocks: int, kind: str) -> FlagMap | None:
+    """One attempt at a random map; None when the triple is disconnected."""
+    r0, r2, sides = [], [], ([], [])
+    n = 0
+    for _ in range(n_blocks):
+        # a block of 4 flags is one edge with both sides and both ends
+        size = 4 if kind != "boundary" else int(rng.choice([1, 2, 2, 4, 4]))
+        b = list(range(n, n + size))
+        if size == 4:
+            r0 += [(b[0], b[1]), (b[2], b[3])]
+            r2 += [(b[0], b[2]), (b[1], b[3])]
+            sides[0].extend((b[0], b[3]))
+            sides[1].extend((b[1], b[2]))
+        elif size == 2:
+            which = int(rng.integers(3))   # r0 only, r2 only, or both
+            if which != 1:
+                r0.append((b[0], b[1]))
+            if which != 0:
+                r2.append((b[0], b[1]))
+        n += size
+    if kind == "orientable":
+        a, b = list(sides[0]), list(sides[1])
+        rng.shuffle(a)
+        rng.shuffle(b)
+        r1 = list(zip(a, b))
+    else:
+        r1 = _matching(rng, range(n), 0.2 if kind == "boundary" else 0.0)
+    p = rng.permutation(n)
+    arrays = []
+    for pairs in (r0, r1, r2):
+        arrays.append(_involution(n, [(int(p[x]), int(p[y])) for x, y in pairs]))
+    try:
+        return FlagMap(*arrays)
+    except MapError:
+        return None
+
+
+def _double_cover(m: FlagMap, rng) -> FlagMap | None:
+    """Flags (x, t) for t in {0, 1}, with r1 flipping t on a random set of
+    r1-orbits; (x, t) -> (x, 1 - t) is then an automorphism.  None when the
+    cover is disconnected."""
+    n = m.n
+    r0, r1, r2 = (arr.tolist() for arr in m.r)
+    flip = [0] * n
+    for x in range(n):
+        if x <= r1[x] and rng.random() < 0.5:
+            flip[x] = flip[r1[x]] = 1
+    arrays = [[0] * (2 * n) for _ in range(3)]
+    for t in (0, 1):
+        for x in range(n):
+            arrays[0][x + t * n] = r0[x] + t * n
+            arrays[2][x + t * n] = r2[x] + t * n
+            arrays[1][x + t * n] = r1[x] + (t ^ flip[x]) * n
+    try:
+        return FlagMap(*arrays)
+    except MapError:
+        return None
+
+
+def _random_maps(seed: int, kind: str, count: int, max_blocks: int) -> list[FlagMap]:
+    rng = np.random.default_rng(seed)
+    maps = []
+    while len(maps) < count:
+        m = _random_triple(rng, int(rng.integers(1, max_blocks + 1)), kind)
+        if m is not None:
+            maps.append(m)
+    return maps
+
+
+def _corpus() -> list[FlagMap]:
+    maps = []
+    for seed, kind in enumerate(("orientable", "closed", "boundary")):
+        maps += _random_maps(seed, kind, 12, 50)
+    rng = np.random.default_rng(99)
+    for m in list(maps[::4]):
+        cover = _double_cover(m, rng)
+        if cover is not None:
+            maps.append(cover)
+            again = _double_cover(cover, rng)
+            if again is not None and again.n <= 200:
+                maps.append(again)
+    S4 = realize.sym_group(4)
+    witnesses = build.search_epimorphisms("1", S4, keep_all=True).witnesses
+    maps += [build.build_map(build.EpimorphismSpec("1", S4, w)) for w in witnesses[:4]]
+    maps += [real.build() for real in realize.edmonds_k8()]  # a chiral pair
+    return maps
+
+
+CORPUS = _corpus()
+
+
+@pytest.fixture(scope="module", params=["path", "cycle"])
+def long_map(request) -> FlagMap:
+    return _long_map(request.param == "cycle")
+
+
+def _long_map(cycle: bool) -> FlagMap:
+    """100,000 flags in a row: r0 = r2 pairs 2k with 2k+1, r1 pairs 2k+1
+    with 2k+2, and on the cycle also the last flag with flag 0."""
+    n = 100_000
+    r0 = np.arange(n) ^ 1
+    r1 = np.arange(n)
+    r1[1:-1] = np.arange(1, n - 1) + np.where(np.arange(1, n - 1) % 2, 1, -1)
+    if cycle:
+        r1[0], r1[-1] = n - 1, 0
+    return FlagMap(r0, r1, r0.copy())
+
+
+def test_corpus_covers_sizes_kinds_and_symmetry():
+    assert min(m.n for m in CORPUS) <= 4 and max(m.n for m in CORPUS) >= 180
+    kinds = {(flagmaps.summary(m).has_boundary, flagmaps.orientation_classes(m) is None)
+             for m in CORPUS}
+    assert kinds == {(False, False), (False, True), (True, True)}
+    assert any(flagmaps.aut_order(m) > 1 and len(set(flagmaps._stable_colors(m))) > 1
+               for m in CORPUS)
+
+
+def test_disconnected_triples_are_rejected():
+    rng = np.random.default_rng(5)
+    rejected = sum(_random_triple(rng, 6, "boundary") is None for _ in range(50))
+    assert rejected > 0
+    with pytest.raises(MapError):
+        FlagMap([], [], [])
+
+
+def _assert_tree_matches_python_bfs(m: FlagMap):
+    parent, gen = _python_bfs_tree(m)
+    assert np.array_equal(m._tree.parent, parent)
+    assert np.array_equal(m._tree.gen, gen)
+    # each chunk extends from flags reached before it, and every flag is
+    # reached exactly once
+    reached = np.zeros(m.n, dtype=np.int64)
+    reached[0] = 1
+    for s, children, parents in m._tree.chunks:
+        assert np.array_equal(m.r[s][parents], children)
+        assert reached[parents].all()
+        reached[children] += 1
+    assert np.array_equal(reached, np.ones(m.n))
+
+
+def test_spanning_tree_matches_python_bfs():
+    for m in CORPUS:
+        _assert_tree_matches_python_bfs(m)
+
+
+def test_orbit_ids_on_arrays_match_union_find():
+    rng = np.random.default_rng(11)
+    for m in CORPUS:
+        gens, _ = flagmaps.aut_generators(m)
+        arrays = list(m.r) + gens[:2] + [rng.permutation(m.n) for _ in range(2)]
+        for k in range(1, 4):
+            for subset in itertools.combinations(arrays, k):
+                assert perms.orbit_ids(m.n, list(subset)) == \
+                    perms.orbit_ids(m.n, [a.tolist() for a in subset])
+
+
+def test_rooted_match_matches_walk_at_every_root():
+    rng = np.random.default_rng(12)
+    for m in CORPUS:
+        other = _relabel(m, rng.permutation(m.n))
+        for m2 in (m, other):
+            for c in range(m.n):
+                fast = flagmaps._rooted_match(m, m2, c)
+                slow = _walk_match(m, 0, m2, c)
+                assert (fast is None) == (slow is None)
+                if fast is not None:
+                    assert np.array_equal(fast, slow)
+
+
+def test_orientation_classes_match_dfs():
+    for m in CORPUS:
+        fast, slow = flagmaps.orientation_classes(m), _dfs_orientation(m)
+        assert (fast is None) == (slow is None)
+        if fast is not None:
+            assert np.array_equal(fast, slow)
+
+
+def test_stable_colors_match_row_ranking():
+    for m in CORPUS:
+        assert np.array_equal(flagmaps._stable_colors(m), _row_colors(m))
+
+
+def _pairs(rng):
+    """(m1, m2) pairs of equal size: relabellings, duals, Petrie duals and
+    other random maps."""
+    by_size = {}
+    for m in CORPUS:
+        by_size.setdefault(m.n, []).append(m)
+    for m in CORPUS:
+        yield m, _relabel(m, rng.permutation(m.n))
+        yield m, m.dual()
+        yield m, m.petrie()
+        for other in by_size[m.n][:3]:
+            yield m, other
+
+
+def test_isomorphism_matches_all_roots():
+    rng = np.random.default_rng(13)
+    verdicts = set()
+    for m1, m2 in _pairs(rng):
+        expected = _brute_isomorphic(m1, m2)
+        assert flagmaps.is_isomorphic(m1, m2) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_oriented_isomorphism_matches_all_roots():
+    rng = np.random.default_rng(14)
+    verdicts = set()
+    for m1, m2 in _pairs(rng):
+        if _dfs_orientation(m1) is None or _dfs_orientation(m2) is None:
+            continue
+        expected = _brute_isomorphic(m1, m2, oriented=True)
+        assert flagmaps.is_isomorphic_oriented(m1, m2) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_invariants_under_relabelling():
+    rng = np.random.default_rng(15)
+    for m in CORPUS:
+        other = _relabel(m, rng.permutation(m.n))
+        assert flagmaps.summary(other) == flagmaps.summary(m)
+        assert classes.classify(other) == classes.classify(m)
+        assert flagmaps.aut_order(other) == flagmaps.aut_order(m)
+
+
+def test_long_map_kernels_match_oracles(long_map):
+    m = long_map
+    cycle = m.r[1][0] != 0
+    _assert_tree_matches_python_bfs(m)
+    for subset in ([m.r[0]], [m.r[1]], list(m.r)):
+        assert perms.orbit_ids(m.n, subset) == \
+            perms.orbit_ids(m.n, [a.tolist() for a in subset])
+    fast, slow = flagmaps.orientation_classes(m), _dfs_orientation(m)
+    assert (fast is None) == (slow is None) == (not cycle)
+    if cycle:
+        assert np.array_equal(fast, slow)
+    for c in (0, 1, m.n - 1):
+        fast, slow = flagmaps._rooted_match(m, m, c), _walk_match(m, 0, m, c)
+        assert (fast is None) == (slow is None)
+        if fast is not None:
+            assert np.array_equal(fast, slow)

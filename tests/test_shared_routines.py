@@ -90,7 +90,7 @@ def test_aut_order_matches_commuting_permutations():
         # the extension walk itself, without the colour pruning around it
         by_image = {p[0]: p for p in brute}
         for c in range(m.n):
-            a = flagmaps._rooted_match(m, 0, m, c)
+            a = flagmaps._rooted_match(m, m, c)
             assert (None if a is None else tuple(a.tolist())) == by_image.get(c)
 
 
