@@ -11,7 +11,9 @@ phrased as extension questions on generating tuples
 (:func:`hom_extension_exists`), which covers outer automorphisms.  On
 permutation groups generation and extension are order tests on stabilizer
 chains (:func:`perms.order_exceeds`); other tables walk the Cayley graph
-(:func:`hom_extension`, which also returns the image array).
+(:func:`hom_extension`, which also returns the image array).  The one
+exception is :func:`simultaneous_inversion_survey` given permutations that
+induce Aut(G): it closes their action on element ids as an array.
 """
 
 from __future__ import annotations
@@ -657,35 +659,63 @@ class SurveyReport:
         return self.counterexample is None
 
 
-def _aut_action_arrays(G: PermGroup, aut_gens: Sequence[Perm],
-                       cap: int = 200000) -> list[list[int]]:
-    """Element-id permutations induced by conjugation by each member of the
-    group generated by ``aut_gens`` inside Sym(degree)."""
-    auts = perms.bfs_closure([tuple(a) for a in aut_gens], cap=cap)
-    arrays = []
-    for n in auts:
-        ninv = perms.inverse(n)
+def _induced_action(G: PermGroup, aut_gens: Sequence[Perm]) -> np.ndarray:
+    """The group of element-id permutations induced on G by conjugation with
+    ``aut_gens``, one (|G|,) int32 row per automorphism, identity first.
+
+    Only the generators are conjugated element by element; their rows are
+    closed under composition by gathers.  Two rows are the same automorphism
+    exactly when they agree on ``G.generators``, which is the dedup key."""
+    n = G.size
+    gen_rows = []
+    for a in aut_gens:
+        a = tuple(a)
+        if len(a) != G.degree:
+            raise ValueError("aut_gens must act on the group's points")
+        a_inv = perms.inverse(a)
         try:
-            arr = [G.id_of(perms.compose(perms.compose(ninv, G.elem(x)), n))
-                   for x in range(G.size)]
+            gen_rows.append([G.id_of(perms.compose(perms.compose(a_inv, G.elem(x)), a))
+                             for x in range(n)])
         except ValueError as exc:
             raise ValueError("aut_action does not normalize the group") from exc
-        arrays.append(arr)
-    return arrays
+    gen_rows = np.array(gen_rows, dtype=np.int32).reshape(-1, n)
+    key_cols = np.array(G.generators)
+    found = [np.arange(n, dtype=np.int32)[None, :]]
+    seen = {tuple(key_cols.tolist())}
+    frontier = found[0]
+    while len(frontier) and len(gen_rows):
+        layer = []
+        for g in gen_rows:
+            images = g[frontier]  # row f: apply f, then g
+            fresh = []
+            for i, key in enumerate(map(tuple, images[:, key_cols].tolist())):
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(i)
+            layer.append(images[fresh])
+        frontier = np.concatenate(layer)
+        found.append(frontier)
+    return np.concatenate(found)
 
 
 def simultaneous_inversion_survey(G: GroupTable,
                                   aut_gens: Sequence[Perm] | None = None) -> SurveyReport:
     """For every ordered generating pair (x, y) of G, decide whether some
-    automorphism inverts both; report counts and the first counterexample.
+    automorphism inverts both; report counts and the first counterexample
+    in row-major order.
 
     Without ``aut_gens`` each generating pair is tested with
-    :func:`hom_extension_exists` (covers outer automorphisms).  With
-    ``aut_gens`` (permutations normalizing a :class:`PermGroup` G and inducing
-    all of Aut G, e.g. PGammaL(2,q) over PSL(2,q)), inversion is decided by
-    intersecting precomputed inverting sets, and generation is computed on
-    orbit representatives and transported along the action; the counts are
-    exact either way.
+    :func:`hom_extension_exists` (covers outer automorphisms).
+
+    With ``aut_gens`` (permutations normalizing a :class:`PermGroup` G and
+    inducing all of Aut G, e.g. PGammaL(2,q) over PSL(2,q)) the survey runs
+    on the induced action A, an (|A|, |G|) array of element-id permutations
+    built by :func:`_induced_action`.  (x, y) is inverted iff some row of A
+    sends x to x^-1 and y to y^-1, a count read off one matrix product of the
+    inversion indicators.  Generation is invariant under A: it is decided
+    for (r, y) with r one representative per A-orbit, once per orbit of the
+    stabilizer A_r on y, and carried to (x, .) by a row of A taking r to x.
+    The counts are exact either way.
     """
     n = G.size
     if aut_gens is None:
@@ -709,72 +739,37 @@ def simultaneous_inversion_survey(G: GroupTable,
                     counterexample = (x, y)
         return SurveyReport(n, n * n, generating, inverted, counterexample)
 
-    assert isinstance(G, PermGroup), "aut_gens requires a permutation group"
-    acts = _aut_action_arrays(G, aut_gens)
-    idx_of = {}
-    for i, arr in enumerate(acts):
-        idx_of[tuple(arr)] = i
-    inv_of_act = []
-    for arr in acts:
-        inv_arr = [0] * n
-        for a, b in enumerate(arr):
-            inv_arr[b] = a
-        inv_of_act.append(idx_of[tuple(inv_arr)])
+    if not isinstance(G, PermGroup):
+        raise ValueError("aut_gens requires a permutation group, got "
+                         f"{type(G).__name__}")
+    acts = _induced_action(G, aut_gens)
+    inverts = (acts == np.array([G.inverse(x) for x in range(n)])).astype(np.float32)
+    # float32 counts are exact below 2**24 automorphisms
+    pairmat = (inverts.T @ inverts) > 0
 
-    masks = [0] * n
-    for x in range(n):
-        xi = G.inverse(x)
-        m = 0
-        for i, arr in enumerate(acts):
-            if arr[x] == xi:
-                m |= 1 << i
-        masks[x] = m
-
-    rep_of = [-1] * n
-    via = [0] * n  # index of an action taking the orbit rep to x
-    reps = []
-    ident_idx = idx_of[tuple(range(n))]
-    for x in range(n):
-        if rep_of[x] != -1:
+    orbit_of = np.full(n, -1)
+    via = np.zeros(n, dtype=np.int64)  # a row of acts taking the orbit rep to x
+    rows = []  # per orbit rep r: does (r, y) generate, for every y
+    for r in range(n):
+        if orbit_of[r] >= 0:
             continue
-        reps.append(x)
-        rep_of[x] = x
-        via[x] = ident_idx
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for i, arr in enumerate(acts):
-                    z = arr[y]
-                    if rep_of[z] == -1:
-                        rep_of[z] = x
-                        # rep -> y (via[y]) followed by y -> z (action i)
-                        via[z] = idx_of[tuple(arr[k] for k in acts[via[y]])]
-                        nxt.append(z)
-            frontier = nxt
+        points, first = np.unique(acts[:, r], return_index=True)
+        orbit_of[points] = len(rows)
+        via[points] = first
+        # least point of each orbit of the stabilizer of r (a subgroup, so
+        # its rows hold every image of y)
+        lead = acts[acts[:, r] == r].min(axis=0)
+        verdict = np.zeros(n, dtype=bool)
+        for y in np.unique(lead).tolist():
+            verdict[y] = G.generates((r, y))
+        rows.append(verdict[lead])
+    genmat = np.empty((n, n), dtype=bool)
+    genmat[np.arange(n)[:, None], acts[via]] = np.array(rows)[orbit_of]
 
-    gen_rows: dict[int, list[bool]] = {}
-    for r in reps:
-        gen_rows[r] = [G.generates((r, y)) for y in range(n)]
-
-    generating = 0
-    inverted = 0
-    counterexample = None
-    for x in range(n):
-        r = rep_of[x]
-        back = inv_of_act[via[x]]
-        row = gen_rows[r]
-        act_back = acts[back]
-        mx = masks[x]
-        for y in range(n):
-            if not row[act_back[y]]:
-                continue
-            generating += 1
-            if mx & masks[y]:
-                inverted += 1
-            elif counterexample is None:
-                counterexample = (x, y)
-    return SurveyReport(n, n * n, generating, inverted, counterexample)
+    bad = genmat & ~pairmat
+    counterexample = divmod(int(bad.argmax()), n) if bad.any() else None
+    return SurveyReport(n, n * n, int(genmat.sum()), int((genmat & pairmat).sum()),
+                        counterexample)
 
 
 # -- triple counting: brute force and the character formula -------------------

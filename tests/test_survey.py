@@ -1,0 +1,162 @@
+"""The simultaneous inversion survey with an automorphism action.
+
+``simultaneous_inversion_survey(G, aut_gens)`` runs on the induced action as
+id arrays.  ``reference_survey`` below is the element-by-element version it
+replaced: every member of <aut_gens> conjugates every element, inversion sets
+are bit masks, orbits and transport are a BFS, and the n^2 count is a Python
+loop.  Both must give the same report, counterexample included.
+"""
+
+import pytest
+
+from etmaps import fields, perms, realize
+from etmaps.groups import GpefGroup, PermGroup, SurveyReport, simultaneous_inversion_survey
+
+
+def aut_action_arrays(G, aut_gens):
+    """Element-id permutations induced by conjugation by each member of the
+    group generated by ``aut_gens`` inside Sym(degree)."""
+    arrays = []
+    for a in perms.bfs_closure([tuple(a) for a in aut_gens]):
+        a_inv = perms.inverse(a)
+        arrays.append([G.id_of(perms.compose(perms.compose(a_inv, G.elem(x)), a))
+                       for x in range(G.size)])
+    return arrays
+
+
+def reference_survey(G, aut_gens):
+    n = G.size
+    acts = aut_action_arrays(G, aut_gens)
+    idx_of = {tuple(arr): i for i, arr in enumerate(acts)}
+    inv_of_act = []
+    for arr in acts:
+        inv_arr = [0] * n
+        for a, b in enumerate(arr):
+            inv_arr[b] = a
+        inv_of_act.append(idx_of[tuple(inv_arr)])
+
+    masks = [0] * n
+    for x in range(n):
+        xi = G.inverse(x)
+        for i, arr in enumerate(acts):
+            if arr[x] == xi:
+                masks[x] |= 1 << i
+
+    rep_of = [-1] * n
+    via = [0] * n  # index of an action taking the orbit rep to x
+    reps = []
+    ident_idx = idx_of[tuple(range(n))]
+    for x in range(n):
+        if rep_of[x] != -1:
+            continue
+        reps.append(x)
+        rep_of[x] = x
+        via[x] = ident_idx
+        frontier = [x]
+        while frontier:
+            nxt = []
+            for y in frontier:
+                for arr in acts:
+                    z = arr[y]
+                    if rep_of[z] == -1:
+                        rep_of[z] = x
+                        # rep -> y (via[y]) followed by y -> z (arr)
+                        via[z] = idx_of[tuple(arr[k] for k in acts[via[y]])]
+                        nxt.append(z)
+            frontier = nxt
+
+    gen_rows = {r: [G.generates((r, y)) for y in range(n)] for r in reps}
+
+    generating = 0
+    inverted = 0
+    counterexample = None
+    for x in range(n):
+        row = gen_rows[rep_of[x]]
+        act_back = acts[inv_of_act[via[x]]]
+        for y in range(n):
+            if not row[act_back[y]]:
+                continue
+            generating += 1
+            if masks[x] & masks[y]:
+                inverted += 1
+            elif counterexample is None:
+                counterexample = (x, y)
+    return SurveyReport(n, n * n, generating, inverted, counterexample)
+
+
+FIELDS = {5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+
+
+def psl2_case(q, action):
+    F = fields.FiniteField(*FIELDS[q])
+    G = realize.psl2_perm_group(F)
+    if action == "pgammal":
+        return G, fields.pgammal2_generators(F)
+    return G, inner_gens(G)
+
+
+def inner_gens(G):
+    return [G.elem(g) for g in G.generators]
+
+
+def case(name):
+    kind, _, action = name.partition("-")
+    if kind.startswith("L2"):
+        return psl2_case(int(kind[3:-1]), action)
+    if kind == "A5":
+        return realize.alt_group(5), inner_gens(realize.sym_group(5))
+    G = realize.sym_group(int(kind[1:]))
+    return G, inner_gens(G)
+
+
+DIFFERENTIAL = [f"L2({q})-{action}" for q in FIELDS for action in ("pgammal", "inner")]
+DIFFERENTIAL += ["S4-inner", "S5-inner", "S6-inner", "A5-sym"]
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_survey_matches_reference(name):
+    G, aut_gens = case(name)
+    assert simultaneous_inversion_survey(G, aut_gens) == reference_survey(G, aut_gens)
+
+
+def test_inner_action_misses_outer_inversions():
+    G, aut_gens = case("L2(7)-inner")
+    rep = simultaneous_inversion_survey(G, aut_gens)
+    assert rep.counterexample == (1, 2)
+    assert G.generates((1, 2))
+
+
+@pytest.mark.parametrize("name", ["S4-inner", "S5-inner", "L2(7)-pgammal", "L2(8)-pgammal"])
+def test_aut_action_path_matches_extension_path(name):
+    """Where aut_gens induce all of Aut G, inversion by the action must agree
+    with the automorphism-extension test on every generating pair."""
+    G, aut_gens = case(name)
+    assert simultaneous_inversion_survey(G, aut_gens) == simultaneous_inversion_survey(G)
+
+
+def test_aut_gens_must_normalize():
+    G, _ = case("L2(7)-pgammal")
+    transposition = perms.parse_cycles("(1,2)", G.degree)
+    with pytest.raises(ValueError, match="does not normalize"):
+        simultaneous_inversion_survey(G, inner_gens(G) + [transposition])
+
+
+def test_aut_gens_must_match_degree():
+    G, _ = case("L2(7)-pgammal")
+    with pytest.raises(ValueError, match="group's points"):
+        simultaneous_inversion_survey(G, [tuple(range(G.degree + 1))])
+
+
+def test_aut_gens_need_a_permutation_group():
+    with pytest.raises(ValueError, match="permutation group"):
+        simultaneous_inversion_survey(GpefGroup(3, 2, 1), [(1, 0, 2)])
+
+
+@pytest.mark.parametrize("cycle", [(1, 0), (1, 2, 0)])
+def test_survey_with_no_aut_gens(cycle):
+    """The identity alone inverts exactly the involutions: all of C2's
+    generating pairs, none of C3's."""
+    G = PermGroup([cycle])
+    rep = simultaneous_inversion_survey(G, [])
+    assert rep == reference_survey(G, [tuple(range(len(cycle)))])
+    assert rep.all_inverted == (len(cycle) == 2)
