@@ -11,7 +11,6 @@ rewriting and re-verified symbolically by :func:`verify_rewrite_tables`.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from math import factorial
@@ -215,8 +214,11 @@ def spec_from_json(obj, group: GroupTable | None = None, cap: int = 10**7) -> Ep
         if "group" not in obj:
             raise SpecError("the spec has no \"group\" field giving its target group")
         group = groups.group_from_json(obj["group"], cap=cap)
+    label = obj.get("class", obj.get("class_label"))
+    if not isinstance(label, str):
+        raise SpecError(f"a spec's \"class\" must be a class label, not {label!r}")
     images = {name: group.parse_element(val) for name, val in obj["images"].items()}
-    return EpimorphismSpec(obj.get("class", obj.get("class_label")), group, images)
+    return EpimorphismSpec(label, group, images)
 
 
 def check_spec(spec: EpimorphismSpec) -> list[str]:
@@ -430,18 +432,65 @@ def _candidate_domains(label: str, G: GroupTable,
     return domains
 
 
-def _tuple_iter(label: str, G: GroupTable, domains: dict[str, list[int]],
-                first_reps: list[int] | None):
-    names = GENERATOR_NAMES[label]
-    first = first_reps if first_reps is not None else domains[names[0]]
-    if label == "1":
-        # (R0 R2)^2 = 1: only images of R2 commuting with that of R0
-        for r0 in first:
-            comm = [r2 for r2 in domains["R2"]
-                    if G.product(r0, r2) == G.product(r2, r0)]
-            yield from itertools.product((r0,), domains["R1"], comm)
-        return
-    yield from itertools.product(first, *(domains[n] for n in names[1:]))
+def _orbit_leaders(n: int, conj: list[np.ndarray]) -> np.ndarray:
+    """Boolean mask of the least member of every orbit of the group whose
+    conjugation id permutations are ``conj``."""
+    if not conj:
+        return np.ones(n, dtype=bool)
+    ids, _ = perms.orbit_ids(n, conj)
+    # orbits are numbered by least member, so the running maximum of the
+    # ids rises exactly at each orbit's least member
+    return np.diff(np.maximum.accumulate(ids), prepend=-1) > 0
+
+
+def _canonical_tuples(G: GroupTable, domains: list[list[int]], first: list[int],
+                      inv: np.ndarray, commute_0_2: bool):
+    """Image tuples in lex order: the first image from ``first``, each later
+    one the least member of its orbit under conjugation by the centralizer of
+    the images before it, on that slot's candidate list.  With
+    ``commute_0_2`` the third image must commute with the first."""
+    n = G.size
+    ident = np.arange(n)
+    slots = []
+    for dom in domains:
+        mask = np.zeros(n, dtype=bool)
+        mask[dom] = True
+        slots.append(mask)
+
+    def descend(prefix: tuple[int, ...], cents: list[np.ndarray]):
+        # cents[i]: the centralizer of prefix[:i + 1], as a mask over ids
+        k = len(prefix)
+        if k == len(domains):
+            yield prefix
+            return
+        cent = groups.conjugation(G, prefix[-1], inv) == ident
+        cents = cents + [cents[-1] & cent if cents else cent]
+        cand = slots[k] & cents[0] if commute_0_2 and k == 2 else slots[k]
+        cand = cand & _orbit_leaders(n, groups.conjugation_generators(G, cents[-1], inv))
+        for y in np.flatnonzero(cand).tolist():
+            yield from descend(prefix + (y,), cents)
+
+    for x in first:
+        yield from descend((x,), [])
+
+
+def _orbit_union(tuples: list[tuple[int, ...]], conj: list[list[int]],
+                 first: set[int]) -> list[tuple[int, ...]]:
+    """Sorted union of the orbits of ``tuples`` under simultaneous conjugation
+    by the group whose conjugation id permutations are ``conj``, keeping the
+    tuples whose first image is in ``first``."""
+    orbit = set(tuples)
+    frontier = list(orbit)
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for c in conj:
+                u = tuple(c[x] for x in t)
+                if u not in orbit:
+                    orbit.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return sorted(t for t in orbit if t[0] in first)
 
 
 def search_epimorphisms(label: str, G: GroupTable, *,
@@ -450,16 +499,35 @@ def search_epimorphisms(label: str, G: GroupTable, *,
                         even: bool = False,
                         up_to_cycle_type: bool = False,
                         keep_all: bool = False) -> SearchResult:
-    """Enumerate image tuples satisfying the class constraints, filtered by
-    generation and forbidden automorphisms.
+    """Image tuples satisfying the class relations that generate G and extend
+    no forbidden pattern of the class, in lex order of element ids.
 
     ``even`` restricts to kernels inside the even subgroup by enumerating the
-    index-2 characters of G and constraining image signs per the class.
-    ``up_to_cycle_type`` restricts the first generator image to one
-    representative per cycle structure.  That is valid only when conjugation
-    by Sym(degree) induces automorphisms of G, so G must be Sym(n) or Alt(n)
-    of its degree, else :class:`SpecError`.
-    Exhaustive mode with no witnesses is a proof of emptiness.
+    index-2 characters of G and constraining image signs per the class; the
+    witnesses of each character follow those of the one before.
+    ``up_to_cycle_type`` keeps only tuples whose first image is the least
+    element of its cycle type.  That is valid only when conjugation by
+    Sym(degree) induces automorphisms of G, so G must be Sym(n) or Alt(n) of
+    its degree, else :class:`SpecError`.  The default returns the first
+    witness (``complete`` is then False); ``keep_all`` returns every one, and
+    ``exhaustive=False`` with a ``limit`` the first ``limit``.  Exhaustive
+    mode with no witnesses is a proof of emptiness.
+
+    What is enumerated: canonical tuples only (McKay 1998).  The first image
+    is the least member of its conjugacy class (of its cycle type with
+    ``up_to_cycle_type``); each later image is the least member of its orbit
+    under conjugation by the centralizer in G of the images fixed before it.
+    ``examined`` counts these canonical tuples.
+
+    Why it is exact: generation, the relations, the index-2 characters and
+    forbidden-pattern extension are invariant under simultaneous
+    automorphisms, and the lex-least tuple of every orbit is canonical (a
+    smaller conjugate of an image by the centralizer of its prefix would give
+    a smaller tuple).  So no orbit is missed, and the lex-least witness is
+    the first canonical witness.  Each of the first N witnesses is conjugate
+    to a canonical witness no larger than it, hence to one of the first N
+    canonical witnesses; their orbits under G, cut to the first images the
+    search admits and sorted, give the first N witnesses, or all of them.
     """
     if up_to_cycle_type:
         if not isinstance(G, groups.PermGroup):
@@ -467,6 +535,8 @@ def search_epimorphisms(label: str, G: GroupTable, *,
         if G.size not in (factorial(G.degree), factorial(G.degree) // 2):
             raise SpecError(f"up_to_cycle_type needs Sym(n) or Alt(n); a group of "
                             f"order {G.size} on {G.degree} points is neither")
+    if limit is not None and limit < 1:
+        raise SpecError(f"limit must be a positive number of witnesses, not {limit}")
     shape, _ = ORBIT_ROUTE[label]
     parity = EVEN_SIGNS[label] if even else None
     lams: list[list[int] | None]
@@ -476,27 +546,36 @@ def search_epimorphisms(label: str, G: GroupTable, *,
             return SearchResult(label, [], 0, True)
     else:
         lams = [None]
+    if not exhaustive:
+        wanted = limit
+    else:
+        wanted = None if keep_all else 1
 
     # a tuple generating an intransitive subgroup cannot generate a
     # transitive permutation target
     transitive = isinstance(G, groups.PermGroup) and perms.is_transitive(
         G.degree, [G.elem(g) for g in G.generators])
     names = GENERATOR_NAMES[shape]
+    inv = np.array([G.inverse(x) for x in range(G.size)])
+    conj_g = groups.conjugation_generators(G, np.ones(G.size, dtype=bool), inv)
+    class_leaders = _orbit_leaders(G.size, conj_g)
     seen: set[tuple[int, ...]] = set()
     witnesses: list[dict[str, int]] = []
     examined = 0
-    complete = True
 
     for lam in lams:
         domains = _candidate_domains(shape, G, parity, lam)
-        first_reps = None
+        doms = [domains[name] for name in names]
         if up_to_cycle_type:
             by_type: dict[tuple[int, ...], int] = {}
-            for x in domains[names[0]]:
-                t = perms.cycle_structure(G.elem(x))
-                by_type.setdefault(t, x)
-            first_reps = sorted(by_type.values())
-        for tup in _tuple_iter(shape, G, domains, first_reps):
+            for x in doms[0]:
+                by_type.setdefault(perms.cycle_structure(G.elem(x)), x)
+            first = sorted(by_type.values())
+        else:
+            first = [x for x in doms[0] if class_leaders[x]]
+        room = None if wanted is None else wanted - len(witnesses)
+        canonical = []
+        for tup in _canonical_tuples(G, doms, first, inv, shape == "1"):
             if tup in seen:
                 continue
             examined += 1
@@ -509,12 +588,14 @@ def search_epimorphisms(label: str, G: GroupTable, *,
             forbidden, _ = has_forbidden_automorphism(spec)
             if forbidden:
                 continue
+            canonical.append(tup)
+            if room is not None and len(canonical) == room:
+                break
+        found = _orbit_union(canonical, [c.tolist() for c in conj_g],
+                             set(first if up_to_cycle_type else doms[0]))
+        for tup in [t for t in found if t not in seen][:room]:
             seen.add(tup)
             witnesses.append(dict(zip(names, tup)))
-            if not exhaustive and limit is not None and len(witnesses) >= limit:
-                complete = False
-                return SearchResult(label, witnesses, examined, complete)
-            if not keep_all and exhaustive and witnesses:
-                # existence settled; emptiness proofs still scan everything
-                return SearchResult(label, witnesses, examined, False)
-    return SearchResult(label, witnesses, examined, complete)
+        if wanted is not None and len(witnesses) >= wanted:
+            return SearchResult(label, witnesses, examined, False)
+    return SearchResult(label, witnesses, examined, True)

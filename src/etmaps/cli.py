@@ -35,7 +35,10 @@ def _load_map(path: str) -> FlagMap:
 def _load_spec(path: str) -> tuple[build.EpimorphismSpec, str]:
     obj = json.loads(_read(path))
     spec = build.spec_from_json(obj)
-    return spec, obj.get("ops", "")
+    ops = obj.get("ops", "")
+    if not isinstance(ops, str):
+        raise ValueError(f"\"ops\" must be a string of D and P, not {ops!r}")
+    return spec, ops
 
 
 def _realization_json(real: realize.Realization) -> dict:

@@ -136,6 +136,12 @@ class FlagMap:
         missing = [k for k in ("r0", "r1", "r2", "flags") if k not in obj]
         if missing:
             raise MapError(f"map JSON lacks {', '.join(missing)}")
+        for name in ("r0", "r1", "r2"):
+            arr = obj[name]
+            if not isinstance(arr, list) or not all(
+                    type(i) is int and 0 <= i < len(arr) for i in arr):
+                raise MapError(f"{name} must be a list of flag indices from 0 "
+                               f"to its length - 1")
         m = cls(obj["r0"], obj["r1"], obj["r2"])
         if m.n != obj["flags"]:
             raise MapError("flags field does not match array length")
@@ -332,6 +338,7 @@ def aut_generators(m: FlagMap) -> tuple[list[np.ndarray], np.ndarray]:
             # whole current orbit of a failed candidate fails with it
             close(ruled_out, c)
     ids, _ = perms.orbit_ids(m.n, gens)
+    # an array already; with no generators the union-find returns a list
     m._aut = (gens, np.asarray(ids, dtype=np.int64))
     return m._aut
 

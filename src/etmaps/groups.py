@@ -569,6 +569,42 @@ def conjugacy_classes(G: GroupTable) -> list[list[int]]:
     return classes
 
 
+def conjugation(G: GroupTable, x: int, inv: np.ndarray) -> np.ndarray:
+    """The id permutation g -> x^-1 g x, from one :meth:`~GroupTable.right_mult`;
+    ``inv`` holds the inverse of every id.  With r[g] = g x, r[inv[r]] sends
+    g to x^-1 g^-1 x, the inverse of the image.  Its fixed points are C_G(x)."""
+    r = np.asarray(G.right_mult(x))
+    return inv[r[inv[r]]]
+
+
+def conjugation_generators(G: GroupTable, members: np.ndarray,
+                           inv: np.ndarray) -> list[np.ndarray]:
+    """Conjugation id permutations (:func:`conjugation`) of a generating set
+    of the subgroup whose ids are marked in the boolean array ``members``.
+
+    The set is chosen greedily: the least member outside the subgroup
+    generated so far, whose closure grows by right multiplication gathers
+    until it has every member.  No generators for the trivial subgroup."""
+    order = int(members.sum())
+    span = np.zeros(G.size, dtype=bool)
+    span[0] = True
+    mults: list[np.ndarray] = []
+    conj: list[np.ndarray] = []
+    while int(span.sum()) < order:
+        g = int(np.flatnonzero(members & ~span)[0])
+        r = np.asarray(G.right_mult(g))
+        mults.append(r)
+        conj.append(inv[r[inv[r]]])  # conjugation(G, g, inv), reusing r
+        frontier = np.flatnonzero(span)
+        while len(frontier):
+            reached = np.zeros(G.size, dtype=bool)
+            for m in mults:
+                reached[m[frontier]] = True
+            frontier = np.flatnonzero(reached & ~span)
+            span[frontier] = True
+    return conj
+
+
 def involutions(G: GroupTable) -> list[int]:
     return [x for x in range(1, G.size) if G.product(x, x) == 0]
 
@@ -884,9 +920,27 @@ def index2_characters(G: GroupTable) -> list[list[int]]:
 
 # -- JSON loading --------------------------------------------------------------
 
+def _int_fields(obj: dict, family: str, names: tuple[str, ...]) -> list[int]:
+    values = [obj.get(name) for name in names]
+    if not all(_is_int(v) for v in values):
+        raise ValueError(f"a {family} group needs integer fields "
+                         + ", ".join(repr(name) for name in names))
+    return values
+
+
+def _check_order(base: int, exponent: int, cap: int) -> None:
+    """:class:`CapExceeded` when a family's order ``base ** exponent`` is
+    over ``cap``, decided without computing a huge power."""
+    if base >= 2 and exponent >= 1 and (
+            base > cap or exponent > cap.bit_length() or base ** exponent > cap):
+        raise CapExceeded(cap)
+
+
 def group_from_json(obj, cap: int = 10**7) -> GroupTable:
     """{"family":"gpef","p":..,"e":..,"f":..}, {"family":"gpef_alpha","e":..},
-    or {"degree":n,"generators":[cycles-or-image-lists]}."""
+    or {"degree":n,"generators":[cycles-or-image-lists]}.  Malformed input
+    raises ``ValueError`` naming the problem; a group of more than ``cap``
+    elements raises :class:`CapExceeded`."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, dict):
@@ -894,16 +948,29 @@ def group_from_json(obj, cap: int = 10**7) -> GroupTable:
                          "and generators")
     fam = obj.get("family")
     if fam == "gpef":
-        return GpefGroup(obj["p"], obj["e"], obj["f"])
+        p, e, f = _int_fields(obj, fam, ("p", "e", "f"))
+        _check_order(p, 2 * e, cap)
+        return GpefGroup(p, e, f)
     if fam == "gpef_alpha":
-        return GpefAlphaGroup(obj["e"])
+        (e,) = _int_fields(obj, fam, ("e",))
+        _check_order(2, 2 * e + 1, cap)
+        return GpefAlphaGroup(e)
     if fam is not None:
         raise ValueError(f"unknown group family {fam!r}")
-    degree = obj["degree"]
+    degree, generators = obj.get("degree"), obj.get("generators")
+    if not _is_int(degree) or degree < 1:
+        raise ValueError(f"a permutation group needs a positive integer "
+                         f"\"degree\", not {degree!r}")
+    if not isinstance(generators, list) or not generators:
+        raise ValueError("a permutation group needs a non-empty list of "
+                         "\"generators\"")
     gens = []
-    for g in obj["generators"]:
+    for g in generators:
         if isinstance(g, str):
             gens.append(perms.parse_cycles(g, degree))
-        else:
+        elif isinstance(g, list) and len(g) == degree:
             gens.append(perms.check_perm(g))
+        else:
+            raise ValueError(f"generator {g!r} is neither a cycle string nor "
+                             f"a list of {degree} images")
     return PermGroup(gens, cap=cap)

@@ -35,7 +35,8 @@ def is_perm(p: Sequence[int]) -> bool:
 
 
 def check_perm(p: Sequence[int]) -> Perm:
-    if not is_perm(p):
+    if not all(isinstance(i, int) and not isinstance(i, bool) for i in p) \
+            or not is_perm(p):
         raise ValueError(f"not a permutation: {p!r}")
     return tuple(p)
 
@@ -208,14 +209,16 @@ def _parts(ids: list[int], count: int) -> list[list[int]]:
     return parts
 
 
-def orbit_ids(degree: int, gens: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+def orbit_ids(degree: int, gens: Sequence[Sequence[int]]) -> tuple[Sequence[int], int]:
     """Orbit id of every point under the generated group, numbered by least
     member from 0, and the orbit count.  ``gens`` may be any integer
     sequences; no generators leaves every point in its own orbit.
 
-    Numpy arrays (flag maps) are labelled by array code.  Tuples and lists
-    (the search's many calls on a handful of points, where numpy's fixed
-    cost per call would dominate) go through the union-find."""
+    Numpy arrays (flag maps, conjugation actions on element ids) are
+    labelled by array code and the ids come back as an int64 array.  Tuples
+    and lists (the search's many calls on a handful of points, where numpy's
+    fixed cost per call would dominate) go through the union-find and the
+    ids come back as a list."""
     if gens and isinstance(gens[0], np.ndarray):
         return _orbit_ids_array(degree, gens)
     parent = list(range(degree))
@@ -229,7 +232,7 @@ def orbit_ids(degree: int, gens: Sequence[Sequence[int]]) -> tuple[list[int], in
     return _numbered(parent)
 
 
-def _orbit_ids_array(degree: int, gens: list[np.ndarray]) -> tuple[list[int], int]:
+def _orbit_ids_array(degree: int, gens: list[np.ndarray]) -> tuple[np.ndarray, int]:
     """:func:`orbit_ids` by array code.  Each label names a point of the same
     orbit, no larger than the point itself.  Across every generator edge the
     larger label is hooked to the smaller, then labels are pointer-jumped to
@@ -254,7 +257,7 @@ def _orbit_ids_array(degree: int, gens: list[np.ndarray]) -> tuple[list[int], in
             label = jumped
     roots = label == np.arange(degree)
     number = np.cumsum(roots) - 1
-    return number[label].tolist(), int(roots.sum())
+    return number[label], int(roots.sum())
 
 
 def orbits(degree: int, gens: Sequence[Perm]) -> list[list[int]]:

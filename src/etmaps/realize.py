@@ -65,7 +65,13 @@ def cycle(n: int, *points: int) -> Perm:
     return perms.check_perm(images)
 
 
+def _check_degree(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"the degree n must be at least 1, not {n}")
+
+
 def _sym_group(n: int, cap: int = 10**7) -> PermGroup:
+    _check_degree(n)
     if n == 1:
         return PermGroup([(0,)])
     gens = [cycle(n, *range(1, n + 1)), involution(n, [(1, 2)])]
@@ -221,6 +227,7 @@ def _search_even_witness(label: str, n: int, description: str) -> Realization:
 
 def sym_even(label: str, n: int) -> Realization:
     """Orientable boundary-free map in the given class with Aut = S_n."""
+    _check_degree(n)
     if label == "1":
         r0, r1, r2 = _sym_even_class1_perms(n)
         G = sym_group(n)

@@ -290,3 +290,47 @@ def test_search_unknown_class_is_input_error(tmp_path):
     _assert_input_error(proc)
     assert "unknown class label '9'" in proc.stderr
     assert "2Pex" in proc.stderr and "5P" in proc.stderr
+
+
+def _assert_input_error_in_process(capsys, args, *needles):
+    """The in-process form of :func:`_assert_input_error`: exit 2 and one
+    ``error:`` line that contains every needle."""
+    code = cli.main(args)
+    out, err = capsys.readouterr()
+    assert code == 2, (out, err)
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    for needle in needles:
+        assert needle in lines[0], err
+
+
+@pytest.mark.parametrize("group, needles", [
+    ({"degree": 3, "generators": []}, ('"generators"',)),
+    ({"degree": "3", "generators": ["(1,2,3)", "(1,2)"]}, ('"degree"', "'3'")),
+    ({"degree": 3, "generators": 5}, ('"generators"',)),
+    ({"family": "gpef", "p": 3, "e": 1}, ("gpef", "'f'")),
+    ({"degree": 3, "generators": [[1, 0]]}, ("[1, 0]", "3 images")),
+], ids=["no-generators", "string-degree", "generators-not-a-list",
+        "gpef-without-f", "generator-shorter-than-degree"])
+def test_malformed_group_file_is_input_error(capsys, tmp_path, group, needles):
+    (tmp_path / "g.json").write_text(json.dumps(group))
+    _assert_input_error_in_process(
+        capsys, ["search", "--class", "1", "--group", str(tmp_path / "g.json")],
+        *needles)
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_search_limit_below_one_is_input_error(capsys, tmp_path, limit):
+    (tmp_path / "s3.json").write_text(json.dumps(
+        {"degree": 3, "generators": ["(1,2,3)", "(1,2)"]}))
+    _assert_input_error_in_process(
+        capsys, ["search", "--class", "1", "--group", str(tmp_path / "s3.json"),
+                 "--limit", limit], "limit", limit)
+
+
+def test_spec_ops_not_a_string_is_input_error(capsys, tmp_path):
+    obj = json.loads(spec_json())
+    obj["ops"] = 5
+    (tmp_path / "spec.json").write_text(json.dumps(obj))
+    _assert_input_error_in_process(
+        capsys, ["build", "--spec", str(tmp_path / "spec.json")], '"ops"')

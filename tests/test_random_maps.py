@@ -292,7 +292,8 @@ def test_orbit_ids_on_arrays_match_union_find():
         arrays = list(m.r) + gens[:2] + [rng.permutation(m.n) for _ in range(2)]
         for k in range(1, 4):
             for subset in itertools.combinations(arrays, k):
-                assert perms.orbit_ids(m.n, list(subset)) == \
+                ids, count = perms.orbit_ids(m.n, list(subset))
+                assert (ids.tolist(), count) == \
                     perms.orbit_ids(m.n, [a.tolist() for a in subset])
 
 
@@ -372,7 +373,8 @@ def test_long_map_kernels_match_oracles(long_map):
     cycle = m.r[1][0] != 0
     _assert_tree_matches_python_bfs(m)
     for subset in ([m.r[0]], [m.r[1]], list(m.r)):
-        assert perms.orbit_ids(m.n, subset) == \
+        ids, count = perms.orbit_ids(m.n, subset)
+        assert (ids.tolist(), count) == \
             perms.orbit_ids(m.n, [a.tolist() for a in subset])
     fast, slow = flagmaps.orientation_classes(m), _dfs_orientation(m)
     assert (fast is None) == (slow is None) == (not cycle)

@@ -144,7 +144,9 @@ def test_orbit_ids_match_bfs(make):
 
 def test_orbit_ids_accept_ndarrays_and_no_generators():
     m = realize.sym_chiral(6).build()
-    assert perms.orbit_ids(m.n, [m.r[1], m.r[2]]) == \
+    ids, count = perms.orbit_ids(m.n, [m.r[1], m.r[2]])
+    assert isinstance(ids, np.ndarray)
+    assert (ids.tolist(), count) == \
         perms.orbit_ids(m.n, [m.r[1].tolist(), m.r[2].tolist()])
     assert perms.orbit_ids(4, []) == ([0, 1, 2, 3], 4)
     assert perms.orbit_ids(0, []) == ([], 0)
