@@ -262,7 +262,7 @@ def build_map(spec: EpimorphismSpec) -> FlagMap:
     for (i, j), (word, k) in table.moves.items():
         if word not in mult:
             w_elt = _interp(G, spec.images, word)
-            mult[word] = np.array(G.right_mult(w_elt), dtype=np.int64)
+            mult[word] = G.right_mult(w_elt)
         arrays[i][j::nt] = mult[word] * nt + k
     return FlagMap(arrays[0], arrays[1], arrays[2])
 

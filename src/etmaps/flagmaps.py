@@ -10,7 +10,8 @@ at construction.  The extension walk and the orientation colouring run on it
 layer by layer as array gathers; the stabilizer filter walks its paths back
 to flag 0.  Disconnected flag triples are rejected at
 construction (the tree does not reach every flag); ``join`` is the only
-operation that extracts a component.
+operation that extracts a component, by the same BFS order run layer by
+layer on packed int64 pair keys.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def _stable_colors(m: FlagMap) -> np.ndarray:
               + 2 * (r1 == idx)
               + 4 * (r2 == idx)
               + 8 * (r0[r2] == idx))
-    n_colors = len(np.unique(colors))
+    n_colors = int(np.count_nonzero(np.bincount(colors)))
     while True:
         # rank the rows (c, c r0, c r1, c r2) lexicographically, one column
         # at a time on 1-D keys
@@ -316,10 +317,11 @@ def aut_generators(m: FlagMap) -> tuple[list[np.ndarray], np.ndarray]:
         # orbit members to flags unreachable through unmarked nodes alone
         frontier = np.nonzero(mask)[0]
         while frontier.size:
-            images = np.concatenate([g[frontier] for g in gens_both])
-            new = np.unique(images[~mask[images]])
-            mask[new] = True
-            frontier = new
+            reached = np.zeros(m.n, dtype=bool)
+            for g in gens_both:
+                reached[g[frontier]] = True
+            frontier = np.flatnonzero(reached & ~mask)
+            mask[frontier] = True
 
     for cand in candidates:
         c = int(cand)
@@ -440,24 +442,42 @@ def is_isomorphic_oriented(m1: FlagMap, m2: FlagMap) -> bool:
 
 def join(m1: FlagMap, m2: FlagMap) -> FlagMap:
     """Connected component of (flag 0, flag 0) under the diagonal action
-    r_i(x, y) = (r_i x, r_i y)."""
-    index = {(0, 0): 0}
-    order = [(0, 0)]
-    frontier = [(0, 0)]
-    while frontier:
-        nxt = []
-        for pair in frontier:
-            x, y = pair
-            for arr1, arr2 in zip(m1.r, m2.r):
-                q = (int(arr1[x]), int(arr2[y]))
-                if q not in index:
-                    index[q] = len(order)
-                    order.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    n = len(order)
-    new_r = []
-    for arr1, arr2 in zip(m1.r, m2.r):
-        img = [index[(int(arr1[x]), int(arr2[y]))] for x, y in order]
-        new_r.append(img)
+    r_i(x, y) = (r_i x, r_i y).
+
+    Flags are numbered in BFS order from (0, 0): by frontier position, then
+    generator 0, 1, 2, first discovery winning.  The BFS runs a layer at a
+    time on int64 pair keys x * m2.n + y.  Every r_i is an involution, so
+    the pair graph is undirected and a candidate reached from layer L lies
+    in layer L-1, L or L+1: the new keys are found by sorting the candidates
+    with the keys of the last two layers alone, and no visited array over
+    all n1 * n2 pairs is needed.  Each r_i permutes the component's keys, so
+    its image array follows from sorting the candidate keys once at the end.
+    """
+    n2 = m2.n
+    images1 = np.stack(m1.r, axis=1)  # row x: r0[x], r1[x], r2[x]
+    images2 = np.stack(m2.r, axis=1)
+    frontier = np.zeros(1, dtype=np.int64)
+    recent = frontier  # keys of the last two layers
+    layers, candidates = [], []
+    while frontier.size:
+        layers.append(frontier)
+        x, y = np.divmod(frontier, n2)
+        cand = (images1[x] * n2 + images2[y]).ravel()  # (position, generator)
+        candidates.append(cand)
+        # the least pool position holding each key: a known key's lies in
+        # ``recent``, a new key's is its first candidate position
+        pool = np.concatenate((recent, cand))
+        order = np.argsort(pool)
+        keys = pool[order]
+        runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        least = np.minimum.reduceat(order, runs)
+        new = cand[np.sort(least[least >= recent.size]) - recent.size]
+        recent = np.concatenate((frontier, new))
+        frontier = new
+    flags = np.concatenate(layers)
+    by_key = np.argsort(flags)
+    new_r = np.empty((3, flags.size), dtype=np.int64)
+    # the j-th least image key under r_i is the j-th least flag key
+    for img, keys in zip(new_r, np.concatenate(candidates).reshape(-1, 3).T):
+        img[np.argsort(keys)] = by_key
     return FlagMap(new_r[0], new_r[1], new_r[2])

@@ -51,9 +51,9 @@ class GroupTable:
     def inverse(self, a: int) -> int:
         raise NotImplementedError
 
-    def right_mult(self, w: int) -> list[int]:
-        """The ids of g w for every element id g, in order."""
-        return [self.product(g, w) for g in range(self.size)]
+    def right_mult(self, w: int) -> np.ndarray:
+        """The ids of g w for every element id g, in order, as an int64 array."""
+        return np.array([self.product(g, w) for g in range(self.size)], dtype=np.int64)
 
     def label(self, a: int) -> str:
         return str(a)
@@ -186,7 +186,7 @@ class PermGroup(GroupTable):
     def product(self, a: int, b: int) -> int:
         return self._index[self._pack(perms.compose(self._elems[a], self._elems[b]))]
 
-    def right_mult(self, w: int) -> list[int]:
+    def right_mult(self, w: int) -> np.ndarray:
         """One gather on the (size, degree) element matrix, then ids by
         binary search in the sorted packed keys; the product loop above
         :data:`perms.PACKED_DEGREE`."""
@@ -199,7 +199,7 @@ class PermGroup(GroupTable):
             self._keyed = (elems, keys[ids], ids)
         elems, sorted_keys, ids = self._keyed
         products = elems[w][elems]  # row g: apply g, then w
-        return ids[np.searchsorted(sorted_keys, perms.packed_rows(products))].tolist()
+        return ids[np.searchsorted(sorted_keys, perms.packed_rows(products))]
 
     def inverse(self, a: int) -> int:
         cached = self._inv[a]
@@ -573,7 +573,7 @@ def conjugation(G: GroupTable, x: int, inv: np.ndarray) -> np.ndarray:
     """The id permutation g -> x^-1 g x, from one :meth:`~GroupTable.right_mult`;
     ``inv`` holds the inverse of every id.  With r[g] = g x, r[inv[r]] sends
     g to x^-1 g^-1 x, the inverse of the image.  Its fixed points are C_G(x)."""
-    r = np.asarray(G.right_mult(x))
+    r = G.right_mult(x)
     return inv[r[inv[r]]]
 
 
@@ -592,7 +592,7 @@ def conjugation_generators(G: GroupTable, members: np.ndarray,
     conj: list[np.ndarray] = []
     while int(span.sum()) < order:
         g = int(np.flatnonzero(members & ~span)[0])
-        r = np.asarray(G.right_mult(g))
+        r = G.right_mult(g)
         mults.append(r)
         conj.append(inv[r[inv[r]]])  # conjugation(G, g, inv), reusing r
         frontier = np.flatnonzero(span)
@@ -796,7 +796,7 @@ def simultaneous_inversion_survey(G: GroupTable,
         # its rows hold every image of y)
         lead = acts[acts[:, r] == r].min(axis=0)
         verdict = np.zeros(n, dtype=bool)
-        for y in np.unique(lead).tolist():
+        for y in np.flatnonzero(np.bincount(lead, minlength=n)).tolist():
             verdict[y] = G.generates((r, y))
         rows.append(verdict[lead])
     genmat = np.empty((n, n), dtype=bool)

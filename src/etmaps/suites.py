@@ -250,6 +250,7 @@ def suite_table1_sym() -> SuiteReport:
 
 
 def alt_witness(label: str, n: int) -> Realization:
+    realize._check_degree(n)
     if label == "1":
         if n == 2:
             G = realize.alt_group(2)

@@ -328,6 +328,15 @@ def test_search_limit_below_one_is_input_error(capsys, tmp_path, limit):
                  "--limit", limit], "limit", limit)
 
 
+@pytest.mark.parametrize("family, label", [
+    ("sym", "1"), ("sym-even", "1"), ("alt", "1"), ("alt", "2ex")])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_realize_degree_below_one_is_input_error(capsys, family, label, n):
+    _assert_input_error_in_process(
+        capsys, ["realize", "--family", family, "--class", label, "--n", n],
+        "degree", n)
+
+
 def test_spec_ops_not_a_string_is_input_error(capsys, tmp_path):
     obj = json.loads(spec_json())
     obj["ops"] = 5

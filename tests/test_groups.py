@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from etmaps import fields, groups, perms, realize
@@ -219,4 +220,6 @@ def test_right_mult_matches_product_loop(name):
     G = _RIGHT_MULT_GROUPS[name]()
     ws = random.Random(4).sample(range(G.size), 50) if G.size > 1000 else range(G.size)
     for w in ws:
-        assert G.right_mult(w) == [G.product(g, w) for g in range(G.size)]
+        r = G.right_mult(w)
+        assert r.dtype == np.int64
+        assert r.tolist() == [G.product(g, w) for g in range(G.size)]

@@ -7,8 +7,14 @@ are bit masks, orbits and transport are a BFS, and the n^2 count is a Python
 loop.  Both must give the same report, counterexample included.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import etmaps
 from etmaps import fields, perms, realize
 from etmaps.groups import GpefGroup, PermGroup, SurveyReport, simultaneous_inversion_survey
 
@@ -160,3 +166,27 @@ def test_survey_with_no_aut_gens(cycle):
     rep = simultaneous_inversion_survey(G, [])
     assert rep == reference_survey(G, [tuple(range(len(cycle)))])
     assert rep.all_inverted == (len(cycle) == 2)
+
+
+def test_maps_and_survey_do_not_import_numpy_ma():
+    """A bare ``np.unique(x)`` imports ``numpy.ma`` on first use in numpy 2.4
+    (about 12 ms and 1 MB once per process); the map layer and the survey
+    must get their answers without it."""
+    script = """
+import sys
+from etmaps import fields, flagmaps, realize
+from etmaps.groups import simultaneous_inversion_survey
+m = realize.edmonds_k8()[0].build()
+flagmaps.aut_generators(m)
+flagmaps.is_isomorphic(m, m)
+flagmaps.join(m, realize.dihedral_spec(5).build())
+F = fields.FiniteField(2, 3)
+simultaneous_inversion_survey(realize.psl2_perm_group(F), fields.pgammal2_generators(F))
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(etmaps.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
