@@ -9,7 +9,8 @@ elements in enumeration order) with the point at infinity last, index q.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property
+from math import gcd
 
 from .perms import Perm
 
@@ -126,21 +127,35 @@ class FiniteField:
         self._mul_table[key] = val
         return val
 
+    @cached_property
+    def _exp_log(self) -> tuple[int, list[int], list[int]]:
+        """The least primitive root g with ``exp[i] = g^i`` for
+        0 <= i < q - 1 and ``log[exp[i]] = i`` (``log[0]`` unused).  Each
+        candidate's powers are multiplied out until they return to 1; the
+        first candidate whose powers reach every nonzero element is g."""
+        for g in range(1, self.q):
+            exp = [1]
+            x = g
+            while x != 1:
+                exp.append(x)
+                x = self.mul(x, g)
+            if len(exp) == self.q - 1:
+                log = [0] * self.q
+                for i, y in enumerate(exp):
+                    log[y] = i
+                return g, exp, log
+        raise AssertionError("multiplicative group not cyclic?")
+
     def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(a), -k)
-        result = 1
-        while k:
-            if k & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return result
+        if a == 0:
+            if k < 0:
+                raise ZeroDivisionError("0 has no inverse")
+            return 0 if k else 1
+        _, exp, log = self._exp_log
+        return exp[log[a] * k % (self.q - 1)]
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self.power(a, self.q - 2)
+        return self.power(a, -1)
 
     def elements(self) -> range:
         return range(self.q)
@@ -148,21 +163,17 @@ class FiniteField:
     def mult_order(self, a: int) -> int:
         if a == 0:
             raise ValueError("0 has no multiplicative order")
-        o, x = 1, a
-        while x != 1:
-            x = self.mul(x, a)
-            o += 1
-        return o
+        n = self.q - 1
+        return n // gcd(self._exp_log[2][a], n)
 
-    @lru_cache(maxsize=None)
     def primitive_root(self) -> int:
-        for a in range(1, self.q):
-            if self.mult_order(a) == self.q - 1:
-                return a
-        raise AssertionError("multiplicative group not cyclic?")
+        """The least primitive root."""
+        return self._exp_log[0]
 
     def primitive_roots(self) -> list[int]:
-        return [a for a in range(1, self.q) if self.mult_order(a) == self.q - 1]
+        n = self.q - 1
+        exp = self._exp_log[1]
+        return sorted(exp[i] for i in range(n) if gcd(i, n) == 1)
 
     def squares(self) -> dict[int, int]:
         """x^2 -> least square root."""

@@ -356,8 +356,7 @@ def automorphisms(m: FlagMap) -> list[Perm]:
     gens, _ = aut_generators(m)
     if not gens:
         return [tuple(range(m.n))]
-    elems = perms.bfs_closure([tuple(int(x) for x in g) for g in gens], cap=m.n + 1)
-    return sorted(elems)
+    return sorted(map(tuple, perms.bfs_closure(gens).tolist()))
 
 
 def is_regular(m: FlagMap) -> bool:

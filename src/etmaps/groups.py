@@ -153,22 +153,27 @@ class GroupTable:
 class PermGroup(GroupTable):
     """A permutation group enumerated by BFS closure from its generators.
 
-    Element ids follow the deterministic BFS order (word length, frontier
-    discovery order, generator index), so downstream reports are reproducible
-    byte for byte.
+    Element ids follow the deterministic BFS order of
+    :func:`perms.bfs_closure` (word length, frontier position, generator
+    index), so downstream reports are reproducible byte for byte.  The group
+    is held as its (size, degree) element matrix with the sorted
+    :func:`perms.row_keys` of its rows; the element tuples and the tuple ->
+    id dict serve the per-element product.
     """
 
     def __init__(self, generators: Sequence[Perm], cap: int = 10**7):
         gens = [tuple(g) for g in generators]
         self.degree = len(gens[0])
-        elements = perms.bfs_closure(gens, cap=cap)
-        self._pack = perms._packer(self.degree)
-        self._elems = elements
-        self._index = {self._pack(p): i for i, p in enumerate(elements)}
-        self.size = len(elements)
-        self.generators = [self._index[self._pack(g)] for g in gens]
+        perms.group_order(perms.group_spec(gens), cap)  # before any enumeration
+        self._matrix = perms.bfs_closure(gens)
+        keys = perms.row_keys(self._matrix)
+        self._key_ids = np.argsort(keys)
+        self._sorted_keys = keys[self._key_ids]
+        self._elems = list(zip(*self._matrix.T.tolist()))  # row tuples
+        self.size = len(self._elems)
+        self._index = dict(zip(self._elems, range(self.size)))
+        self.generators = [self._index[g] for g in gens]
         self._inv: list[int | None] = [None] * self.size
-        self._keyed = None  # element matrix, sorted packed keys, their ids
 
     @classmethod
     def from_spec(cls, spec: perms.PermGroupSpec, cap: int = 10**7) -> "PermGroup":
@@ -178,33 +183,24 @@ class PermGroup(GroupTable):
         return self._elems[a]
 
     def id_of(self, p: Perm) -> int:
-        key = self._pack(tuple(p))
-        if key not in self._index:
+        a = self._index.get(tuple(p))
+        if a is None:
             raise ValueError(f"permutation {perms.format_cycles(tuple(p))} not in group")
-        return self._index[key]
+        return a
 
     def product(self, a: int, b: int) -> int:
-        return self._index[self._pack(perms.compose(self._elems[a], self._elems[b]))]
+        return self._index[perms.compose(self._elems[a], self._elems[b])]
 
     def right_mult(self, w: int) -> np.ndarray:
-        """One gather on the (size, degree) element matrix, then ids by
-        binary search in the sorted packed keys; the product loop above
-        :data:`perms.PACKED_DEGREE`."""
-        if self.degree > perms.PACKED_DEGREE:
-            return super().right_mult(w)
-        if self._keyed is None:
-            elems = np.array(self._elems, dtype=np.uint8)
-            keys = perms.packed_rows(elems)
-            ids = np.argsort(keys)
-            self._keyed = (elems, keys[ids], ids)
-        elems, sorted_keys, ids = self._keyed
-        products = elems[w][elems]  # row g: apply g, then w
-        return ids[np.searchsorted(sorted_keys, perms.packed_rows(products))]
+        """One gather on the element matrix, then ids by binary search in
+        the sorted row keys."""
+        products = self._matrix[w][self._matrix]  # row g: apply g, then w
+        return self._key_ids[np.searchsorted(self._sorted_keys, perms.row_keys(products))]
 
     def inverse(self, a: int) -> int:
         cached = self._inv[a]
         if cached is None:
-            cached = self._index[self._pack(perms.inverse(self._elems[a]))]
+            cached = self._index[perms.inverse(self._elems[a])]
             self._inv[a] = cached
         return cached
 

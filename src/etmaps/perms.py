@@ -19,10 +19,11 @@ Perm = tuple[int, ...]
 
 
 class CapExceeded(Exception):
-    """A closure hit its element cap.  Signals the bound, not a failure."""
+    """A group's order exceeds its element cap.  Signals the bound, not a
+    failure."""
 
     def __init__(self, cap: int):
-        super().__init__(f"group closure exceeded cap of {cap} elements")
+        super().__init__(f"group order exceeds cap of {cap} elements")
         self.cap = cap
 
 
@@ -308,49 +309,54 @@ def is_primitive(degree: int, gens: Sequence[Perm]) -> bool:
 PACKED_DEGREE = 16  # up to here a point fits in 4 bits, a permutation in 64
 
 
-def _packer(degree: int):
-    """Dense integer keys for degrees <= PACKED_DEGREE, tuples otherwise."""
-    if degree <= PACKED_DEGREE:
-        def pack(p: Perm) -> int:
-            key = 0
-            for i in reversed(p):
-                key = (key << 4) | i
-            return key
-        return pack
-    return lambda p: p
+def row_dtype(degree: int) -> type:
+    """The narrowest unsigned dtype that holds every point of ``degree``."""
+    return np.uint8 if degree <= 1 << 8 else np.uint16 if degree <= 1 << 16 else np.uint32
 
 
-def packed_rows(rows: np.ndarray) -> np.ndarray:
-    """The :func:`_packer` key of each row of a (k, degree) array of
-    permutations, degree <= PACKED_DEGREE: point i in bits 4i..4i+3."""
-    shifts = np.arange(rows.shape[1], dtype=np.uint64) * np.uint64(4)
-    return np.bitwise_or.reduce(rows.astype(np.uint64) << shifts, axis=1)
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One sortable key per row of a (k, degree) permutation matrix, equal
+    exactly when the rows are.  Up to :data:`PACKED_DEGREE` points a row is
+    packed into a uint64 (point i in bits 4i..4i+3); above it the key is the
+    row's bytes as one void scalar."""
+    if rows.shape[1] <= PACKED_DEGREE:
+        shifts = np.arange(rows.shape[1], dtype=np.uint64) * np.uint64(4)
+        return np.bitwise_or.reduce(rows.astype(np.uint64) << shifts, axis=1)
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
-def bfs_closure(gens: Sequence[Perm], cap: int | None = None) -> list[Perm]:
-    """Elements of the generated group in deterministic BFS order: by word
-    length, then generator index, then discovery order.  Raises
-    :class:`CapExceeded` when the cap is hit."""
+def bfs_closure(gens: Sequence[Perm]) -> np.ndarray:
+    """The elements of the generated group as the rows of a (|G|, degree)
+    matrix of dtype :func:`row_dtype`, in deterministic BFS order: by word
+    length, then by the position of the shorter word in its layer, then by
+    generator index, the first discovery of an element winning.
+
+    One layer is one gather: row ``f * k + j`` of the candidates is frontier
+    row ``f`` followed by generator ``j``.  A generator need not be an
+    involution, so a candidate may lie in any earlier layer; candidates whose
+    key is in the sorted keys of all earlier layers are dropped, and of the
+    rest the first occurrence of each key, in candidate order, is the next
+    layer.  The numbering is that of the element-by-element BFS
+    (``docs/decisions.md``)."""
     degree = len(gens[0])
-    pack = _packer(degree)
-    ident = identity(degree)
-    elements = [ident]
-    seen = {pack(ident)}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = compose(x, g)
-                key = pack(y)
-                if key not in seen:
-                    if cap is not None and len(elements) >= cap:
-                        raise CapExceeded(cap)
-                    seen.add(key)
-                    elements.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    return elements
+    gens = np.array(gens, dtype=row_dtype(degree))
+    layer = np.arange(degree, dtype=gens.dtype)[None]
+    layers = [layer]
+    seen = row_keys(layer)  # sorted keys of every layer so far
+    while len(layer):
+        # compose(x, g)[i] = g[x[i]]: (k, f, degree) gathered, then frontier-major
+        cand = gens[:, layer].swapaxes(0, 1).reshape(-1, degree)
+        keys = row_keys(cand)
+        by_key = np.argsort(keys, kind="stable")  # equal keys in candidate order
+        keys = keys[by_key]
+        at = np.searchsorted(seen, keys)
+        new = seen[np.minimum(at, len(seen) - 1)] != keys
+        new[1:] &= keys[1:] != keys[:-1]
+        seen = np.insert(seen, at[new], keys[new])
+        layer = cand[np.sort(by_key[new])]
+        layers.append(layer)
+    return np.concatenate(layers)
 
 
 class _Level:

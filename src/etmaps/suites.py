@@ -269,6 +269,8 @@ def alt_witness(label: str, n: int) -> Realization:
             return Realization(label, base.spec, build.ORBIT_ROUTE[label][1])
         return realize.propagate(realize.alt_chiral(n), label)
     # classes 2, 2s, 2P, 3, 4, 4s, 4P
+    if n < 4:
+        raise realize.Unrealizable(f"A_{n} is abelian or too small for class {label}")
     if n == 4:
         G = realize.alt_group(4)
         e = 0

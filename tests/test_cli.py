@@ -195,6 +195,16 @@ def test_search_cap_overflow_is_input_error(tmp_path):
     assert "cap of 100" in proc.stderr
 
 
+def test_search_group_over_default_cap_is_input_error(capsys, tmp_path):
+    # |S12| = 479,001,600 > 10^7: the stabilizer chain decides before any
+    # element is enumerated, so this returns at once
+    (tmp_path / "s12.json").write_text(json.dumps(
+        {"degree": 12, "generators": ["(1,2,3,4,5,6,7,8,9,10,11,12)", "(1,2)"]}))
+    _assert_input_error_in_process(
+        capsys, ["search", "--class", "1", "--group", str(tmp_path / "s12.json")],
+        "cap of 10000000")
+
+
 def _gpef_spec_file(tmp_path, images):
     (tmp_path / "spec.json").write_text(json.dumps({
         "class": "5", "group": {"family": "gpef", "p": 3, "e": 2, "f": 1},

@@ -1,0 +1,137 @@
+"""The layered numpy closure ``perms.bfs_closure`` against the
+element-by-element BFS it replaced, and the order cap of ``PermGroup``.
+
+``python_closure`` is that BFS: from the identity, each frontier element in
+order is followed by each generator in order, and a new element is appended
+the first time it is seen.  The matrix must equal its list row by row, in
+order, not only as a set.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from etmaps import fields, perms, realize
+from etmaps.groups import PermGroup
+from etmaps.perms import CapExceeded
+
+
+def python_closure(gens):
+    """Elements of the generated group in BFS order: by word length, then
+    frontier position, then generator index, first discovery winning."""
+    ident = perms.identity(len(gens[0]))
+    elements = [ident]
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = perms.compose(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    elements.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    return elements
+
+
+def assert_same_closure(gens):
+    got = perms.bfs_closure(gens)
+    assert got.dtype == perms.row_dtype(len(gens[0]))
+    assert [tuple(row) for row in got.tolist()] == python_closure(gens), gens
+    return got
+
+
+def _sym(n):
+    return [realize.cycle(n, *range(1, n + 1)), realize.involution(n, [(1, 2)])]
+
+
+def _alt(n):
+    if n < 3:
+        return [perms.identity(n)]
+    long = range(1, n + 1) if n % 2 else range(2, n + 1)
+    return [realize.cycle(n, 1, 2, 3), realize.cycle(n, *long)]
+
+
+def _psl2(q):
+    p, e = next((p, e) for p in (2, 3, 5, 7, 11, 13, 19) for e in (1, 2, 3) if p ** e == q)
+    return fields.psl2_group_generators(fields.FiniteField(p, e))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_symmetric_and_alternating(n):
+    assert len(assert_same_closure(_sym(n))) == perms.group_order(perms.group_spec(_sym(n)))
+    assert_same_closure(_alt(n))
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
+def test_psl2_grid(q):
+    assert len(assert_same_closure(_psl2(q))) == fields.psl2_order(q)
+
+
+def test_agl1_8_and_trivial_groups():
+    G = realize.agl1_8_group()[0]
+    assert len(assert_same_closure([G.elem(g) for g in G.generators])) == 56
+    assert assert_same_closure([(0,)]).tolist() == [[0]]
+    assert len(assert_same_closure([perms.identity(5)] * 3)) == 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_groups(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        n = rng.randint(1, 8)
+        gens = []
+        for _ in range(rng.choice((2, 3))):
+            p = list(range(n))
+            if rng.random() < 0.5:
+                rng.shuffle(p)
+            else:  # sparse generators give small and intransitive groups too
+                i, j = rng.randrange(n), rng.randrange(n)
+                p[i], p[j] = p[j], p[i]
+            gens.append(tuple(p))
+        assert_same_closure(gens)
+
+
+def test_deep_cyclic_group():
+    # cycles of lengths 4, 5 and 7 on 16 points: one generator of order 140,
+    # so 140 layers of one element each
+    g = realize.cycle(16, 1, 2, 3, 4)
+    g = perms.compose(g, realize.cycle(16, 5, 6, 7, 8, 9))
+    g = perms.compose(g, realize.cycle(16, *range(10, 17)))
+    assert len(assert_same_closure([g])) == 140
+
+
+def test_above_packed_degree():
+    # L2(19) on the 20 points of the projective line: void row keys
+    assert len(assert_same_closure(_psl2(19))) == fields.psl2_order(19)
+
+
+def test_more_than_256_points():
+    # the dihedral group on 300 points: uint16 rows
+    n = 300
+    rotation = tuple(list(range(1, n)) + [0])
+    reflection = tuple((-i) % n for i in range(n))
+    got = assert_same_closure([rotation, reflection])
+    assert got.dtype == np.uint16 and len(got) == 2 * n
+
+
+@pytest.mark.parametrize("gens", [_sym(5), _alt(6), _psl2(7), [(0,)]],
+                         ids=["S5", "A6", "L2(7)", "trivial"])
+def test_perm_group_cap_is_the_order(gens):
+    order = perms.group_order(perms.group_spec(gens))
+    assert PermGroup(gens, cap=order).size == order
+    with pytest.raises(CapExceeded) as err:
+        PermGroup(gens, cap=order - 1)
+    assert err.value.cap == order - 1
+
+
+def test_perm_group_ids_follow_the_closure():
+    gens = _psl2(8)
+    G = PermGroup(gens)
+    elems = python_closure(gens)
+    assert [G.elem(a) for a in range(G.size)] == elems
+    assert all(G.id_of(p) == a for a, p in enumerate(elems))
+    assert G.generators == [elems.index(g) for g in gens]

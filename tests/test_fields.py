@@ -86,3 +86,41 @@ def test_pgammal_order():
     gens = pgammal2_generators(F)
     # PGammaL(2,9) = Aut(PSL(2,9)) has order 1440
     assert perms.group_order(perms.group_spec(gens)) == 1440
+
+
+def _priminv_grid():
+    """The (p, e) of every q = p^e <= 128, as in ``suites.suite_priminv``."""
+    return [(p, e) for p in range(2, 128) if all(p % d for d in range(2, p))
+            for e in range(1, 8) if p ** e <= 128]
+
+
+def _order_and_inverse(F, a):
+    """Multiply by ``a`` until 1: the order, and the power before 1."""
+    o, x, before = 1, a, 1
+    while x != 1:
+        before = x
+        x = F.mul(x, a)
+        o += 1
+    return o, before
+
+
+@pytest.mark.parametrize("p, e", _priminv_grid())
+def test_discrete_log_tables_match_multiplication(p, e):
+    F = FiniteField(p, e)
+    q = F.q
+    roots = []
+    for a in range(1, q):
+        order, inv = _order_and_inverse(F, a)
+        assert F.mult_order(a) == order, a
+        assert F.inv(a) == inv and F.mul(a, inv) == 1, a
+        if order == q - 1:
+            roots.append(a)
+        x = 1
+        for k in range(4):
+            assert F.power(a, k) == x and F.power(inv, -k) == x, (a, k)
+            x = F.mul(x, a)
+    assert F.primitive_roots() == roots
+    assert F.primitive_root() == roots[0]
+    assert F.power(0, 0) == 1 and F.power(0, 3) == 0
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from etmaps import build, classes, flagmaps, groups, perms, realize
+from etmaps import build, classes, flagmaps, groups, perms, realize, suites
 from etmaps.realize import Unrealizable
 
 
@@ -162,6 +162,17 @@ def test_alt_class1_n5():
     for n in (6, 7, 8):
         with pytest.raises(Unrealizable):
             realize.alt_class1(n)
+
+
+@pytest.mark.parametrize("label", ["2", "2s", "2P", "3", "4", "4s", "4P"])
+def test_alt_too_small_names_the_class_asked_for(label):
+    shape = build.ORBIT_ROUTE[label][0]
+    for n in (1, 2, 3):
+        with pytest.raises(Unrealizable) as err:
+            suites.alt_witness(label, n)
+        assert err.value.reason == f"A_{n} is abelian or too small for class {label}"
+        assert err.value.provenance == "exhausted"
+        assert build.search_epimorphisms(shape, realize.alt_group(n)).proved_empty
 
 
 @pytest.mark.parametrize("n", [9, 10, 11, 12])

@@ -2,7 +2,7 @@
 and automorphism extension on permutation groups.
 
 The references are the closures the chain replaced: the BFS element list
-(``perms.bfs_closure``), the subgroup closure of ``GroupTable.generates`` and
+(``python_closure`` in ``test_closure.py``), the subgroup closure of ``GroupTable.generates`` and
 the Cayley-graph walk ``groups.hom_extension``; sympy's independent
 Schreier-Sims is a further oracle where it is installed.
 """
@@ -16,6 +16,7 @@ import pytest
 from etmaps import fields, groups, perms, realize
 from etmaps.groups import GroupTable, PermGroup, hom_extension, hom_extension_exists
 from etmaps.perms import CapExceeded
+from test_closure import python_closure
 
 
 def _random_perm(rng: random.Random, n: int) -> tuple[int, ...]:
@@ -39,7 +40,7 @@ def _random_gen_sets(seed: int, count: int, max_degree: int):
 @pytest.mark.parametrize("seed", range(4))
 def test_order_matches_bfs_closure(seed):
     for gens in _random_gen_sets(seed, 150, 8):
-        order = len(perms.bfs_closure(gens))
+        order = len(python_closure(gens))
         assert perms.group_order(perms.group_spec(gens)) == order, gens
         for bound in {0, 1, order // 2, order - 1, order, order + 1}:
             assert perms.order_exceeds(gens, bound) == (order > bound), (gens, bound)
@@ -48,7 +49,7 @@ def test_order_matches_bfs_closure(seed):
 def test_group_order_raises_exactly_above_cap():
     for gens in _random_gen_sets(7, 60, 7):
         spec = perms.group_spec(gens)
-        order = len(perms.bfs_closure(gens))
+        order = len(python_closure(gens))
         assert perms.group_order(spec, cap=order) == order
         with pytest.raises(CapExceeded) as err:
             perms.group_order(spec, cap=order - 1)

@@ -17,13 +17,14 @@ import pytest
 import etmaps
 from etmaps import fields, perms, realize
 from etmaps.groups import GpefGroup, PermGroup, SurveyReport, simultaneous_inversion_survey
+from test_closure import python_closure
 
 
 def aut_action_arrays(G, aut_gens):
     """Element-id permutations induced by conjugation by each member of the
     group generated by ``aut_gens`` inside Sym(degree)."""
     arrays = []
-    for a in perms.bfs_closure([tuple(a) for a in aut_gens]):
+    for a in python_closure([tuple(a) for a in aut_gens]):
         a_inv = perms.inverse(a)
         arrays.append([G.id_of(perms.compose(perms.compose(a_inv, G.elem(x)), a))
                        for x in range(G.size)])
