@@ -204,16 +204,15 @@ class EpimorphismSpec:
                            for name, x in self.images.items()}}
 
 
-def spec_from_json(obj, group: GroupTable | None = None, cap: int = 10**7) -> EpimorphismSpec:
+def spec_from_json(obj) -> EpimorphismSpec:
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, dict) or not isinstance(obj.get("images"), dict):
         raise SpecError("a spec must be a JSON object whose \"images\" is an "
                         "object from generator names to elements")
-    if group is None:
-        if "group" not in obj:
-            raise SpecError("the spec has no \"group\" field giving its target group")
-        group = groups.group_from_json(obj["group"], cap=cap)
+    if "group" not in obj:
+        raise SpecError("the spec has no \"group\" field giving its target group")
+    group = groups.group_from_json(obj["group"])
     label = obj.get("class", obj.get("class_label"))
     if not isinstance(label, str):
         raise SpecError(f"a spec's \"class\" must be a class label, not {label!r}")

@@ -2,7 +2,9 @@
 
 A :class:`GroupTable` is a set of element ids ``0..size-1`` with a product
 oracle; id 0 is always the identity.  Concrete tables: permutation groups
-enumerated by BFS closure, the metacyclic p-group families ``G_{p,e,f}`` and
+known only by their generators and order (:class:`ChainGroup`, whose ids are
+handed out as elements are met) or enumerated by BFS closure
+(:class:`PermGroup`), the metacyclic p-group families ``G_{p,e,f}`` and
 their C2 extension by the automorphism ``g -> gh, h -> h^-1``, direct
 products, extensions by an involutory automorphism, and quotients.
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -150,59 +153,57 @@ class GroupTable:
                 raise ValueError("associativity fails on a sampled triple")
 
 
-class PermGroup(GroupTable):
-    """A permutation group enumerated by BFS closure from its generators.
+class ChainGroup(GroupTable):
+    """A permutation group known only by its generators and its order from a
+    stabilizer chain (:func:`perms.group_order`), with no cap.
 
-    Element ids follow the deterministic BFS order of
-    :func:`perms.bfs_closure` (word length, frontier position, generator
-    index), so downstream reports are reproducible byte for byte.  The group
-    is held as its (size, degree) element matrix with the sorted
-    :func:`perms.row_keys` of its rows; the element tuples and the tuple ->
-    id dict serve the per-element product.
+    Ids are handed out as elements are met: the identity 0, the generators,
+    then each new product, inverse or member given to :meth:`id_of` (checked
+    by a chain order test).  They are internal; elements print as cycles.
+    The element table, the :class:`PermGroup` on the same generators under
+    its default cap, is built by the first :meth:`right_mult`, when a map is
+    built, and answers in its own BFS ids.
     """
 
-    def __init__(self, generators: Sequence[Perm], cap: int = 10**7):
-        gens = [tuple(g) for g in generators]
-        self.degree = len(gens[0])
-        perms.group_order(perms.group_spec(gens), cap)  # before any enumeration
-        self._matrix = perms.bfs_closure(gens)
-        keys = perms.row_keys(self._matrix)
-        self._key_ids = np.argsort(keys)
-        self._sorted_keys = keys[self._key_ids]
-        self._elems = list(zip(*self._matrix.T.tolist()))  # row tuples
-        self.size = len(self._elems)
-        self._index = dict(zip(self._elems, range(self.size)))
-        self.generators = [self._index[g] for g in gens]
-        self._inv: list[int | None] = [None] * self.size
+    def __init__(self, generators: Sequence[Perm]):
+        self._gens = [tuple(g) for g in generators]
+        self.degree = len(self._gens[0])
+        self.size = perms.group_order(perms.group_spec(self._gens), cap=None)
+        self._elems = [tuple(range(self.degree))]
+        self._index = {self._elems[0]: 0}
+        self.generators = [self._intern(g) for g in self._gens]
 
-    @classmethod
-    def from_spec(cls, spec: perms.PermGroupSpec, cap: int = 10**7) -> "PermGroup":
-        return cls(spec.generators, cap=cap)
+    def _intern(self, p: Perm) -> int:
+        a = self._index.get(p)
+        if a is None:
+            a = self._index[p] = len(self._elems)
+            self._elems.append(p)
+        return a
+
+    @cached_property
+    def table(self) -> "PermGroup":
+        return PermGroup(self._gens)
 
     def elem(self, a: int) -> Perm:
         return self._elems[a]
 
     def id_of(self, p: Perm) -> int:
-        a = self._index.get(tuple(p))
-        if a is None:
-            raise ValueError(f"permutation {perms.format_cycles(tuple(p))} not in group")
-        return a
+        p = tuple(p)
+        if p not in self._index and (
+                len(p) != self.degree or perms.order_exceeds(self._gens + [p], self.size)):
+            raise ValueError(f"permutation {perms.format_cycles(p)} not in group")
+        return self._intern(p)
 
     def product(self, a: int, b: int) -> int:
-        return self._index[perms.compose(self._elems[a], self._elems[b])]
-
-    def right_mult(self, w: int) -> np.ndarray:
-        """One gather on the element matrix, then ids by binary search in
-        the sorted row keys."""
-        products = self._matrix[w][self._matrix]  # row g: apply g, then w
-        return self._key_ids[np.searchsorted(self._sorted_keys, perms.row_keys(products))]
+        return self._intern(perms.compose(self._elems[a], self._elems[b]))
 
     def inverse(self, a: int) -> int:
-        cached = self._inv[a]
-        if cached is None:
-            cached = self._index[perms.inverse(self._elems[a])]
-            self._inv[a] = cached
-        return cached
+        return self._intern(perms.inverse(self._elems[a]))
+
+    def right_mult(self, w: int) -> np.ndarray:
+        """In the ids of :attr:`table`, over all of its elements."""
+        table = self.table
+        return table.right_mult(table.id_of(self._elems[w]))
 
     def label(self, a: int) -> str:
         return perms.format_cycles(self._elems[a])
@@ -225,6 +226,56 @@ class PermGroup(GroupTable):
     def generates(self, seed: Iterable[int]) -> bool:
         """Exact, by a stabilizer chain: a subgroup has order at most size/2."""
         return perms.order_exceeds([self._elems[s] for s in seed], self.size // 2)
+
+
+class PermGroup(ChainGroup):
+    """A permutation group with its element table, enumerated by BFS closure
+    from its generators.
+
+    Element ids follow the deterministic BFS order of
+    :func:`perms.bfs_closure` (word length, frontier position, generator
+    index), so downstream reports are reproducible byte for byte.  The group
+    is held as its (size, degree) element matrix with the sorted
+    :func:`perms.row_keys` of its rows; the element tuples and the tuple ->
+    id dict serve the per-element product.
+    """
+
+    def __init__(self, generators: Sequence[Perm], cap: int = 10**7):
+        self._gens = gens = [tuple(g) for g in generators]
+        self.degree = len(gens[0])
+        perms.group_order(perms.group_spec(gens), cap)  # before any enumeration
+        self._matrix = perms.bfs_closure(gens)
+        keys = perms.row_keys(self._matrix)
+        self._key_ids = np.argsort(keys)
+        self._sorted_keys = keys[self._key_ids]
+        self._elems = list(zip(*self._matrix.T.tolist()))  # row tuples
+        self.size = len(self._elems)
+        self._index = dict(zip(self._elems, range(self.size)))
+        self.generators = [self._index[g] for g in gens]
+        self._inv: list[int | None] = [None] * self.size
+
+    @property
+    def table(self) -> "PermGroup":
+        return self
+
+    def product(self, a: int, b: int) -> int:
+        return self._index[perms.compose(self._elems[a], self._elems[b])]
+
+    def right_mult(self, w: int) -> np.ndarray:
+        """One gather on the element matrix, then ids by binary search in
+        the sorted row keys."""
+        products = self._matrix[w][self._matrix]  # row g: apply g, then w
+        return self._key_ids[np.searchsorted(self._sorted_keys, perms.row_keys(products))]
+
+    def inverse(self, a: int) -> int:
+        cached = self._inv[a]
+        if cached is None:
+            cached = self._index[perms.inverse(self._elems[a])]
+            self._inv[a] = cached
+        return cached
+
+    # its own attribute, so that perfbench's tracer can wrap it by name
+    generates = ChainGroup.generates
 
 
 class GpefGroup(GroupTable):
@@ -654,13 +705,13 @@ def hom_extension_exists(G: GroupTable, src: Sequence[int], dst: Sequence[int]) 
     """Does src_i -> dst_i extend to an automorphism of G?  ``src`` must
     generate G.
 
-    On a :class:`PermGroup` this is decided by stabilizer chains.  The
+    On a :class:`ChainGroup` this is decided by stabilizer chains.  The
     diagonal subgroup <(src_i, dst_i)> of G x G, acting on 2 * degree points,
     projects onto G; it is the graph of a homomorphism iff its order is |G|,
     and that homomorphism is onto iff ``dst`` generates G.  Other groups walk
     :func:`hom_extension`.
     """
-    if not isinstance(G, PermGroup):
+    if not isinstance(G, ChainGroup):
         return hom_extension(G, src, dst) is not None
     if len(src) != len(dst):
         raise ValueError("src and dst must have equal length")

@@ -445,56 +445,11 @@ def order_exceeds(gens: Sequence[Perm], bound: int) -> bool:
     return _stabilizer_order(gens, bound) is None
 
 
-def group_order(spec: PermGroupSpec, cap: int = 10**7) -> int:
+def group_order(spec: PermGroupSpec, cap: int | None = 10**7) -> int:
     """Exact order of the generated group, from a stabilizer chain.  Raises
-    :class:`CapExceeded` exactly when the order exceeds ``cap``."""
+    :class:`CapExceeded` exactly when the order exceeds ``cap``; ``None`` is
+    no cap."""
     order = _stabilizer_order(spec.generators, cap)
     if order is None:
         raise CapExceeded(cap)
     return order
-
-
-def contains_alternating_certificate(degree: int, gens: Sequence[Perm]) -> bool:
-    """True only if the generated group provably contains Alt(degree).
-
-    Two sufficient criteria are tried on powers of short words: a primitive
-    group with a single cycle of length at most degree - 3 (Jordan, with the
-    classification removing the primality condition), and a transitive group
-    with an element that is two cycles of coprime lengths > 1 and no fixed
-    points.  False means inconclusive, not a disproof.
-    """
-    n = degree
-    if n < 7 or not is_transitive(n, gens):
-        return False
-    primitive = is_primitive(n, gens)
-    ident = identity(n)
-    alphabet = list(dict.fromkeys(list(gens) + [inverse(g) for g in gens]))
-    seen = {ident}
-    words: list[Perm] = []
-    frontier = [ident]
-    for _ in range(8):
-        nxt = []
-        for w in frontier:
-            for g in alphabet:
-                v = compose(w, g)
-                if v not in seen:
-                    seen.add(v)
-                    words.append(v)
-                    nxt.append(v)
-        frontier = nxt
-        if len(words) > 800:
-            break
-    for w in words:
-        o = order_of(w)
-        for d in range(1, o):
-            if o % d:
-                continue
-            y = power(w, d)
-            nontrivial = [c for c in cycles(y) if len(c) > 1]
-            if primitive and len(nontrivial) == 1 and len(nontrivial[0]) <= n - 3:
-                return True
-            if len(nontrivial) == 2 and len(nontrivial[0]) + len(nontrivial[1]) == n:
-                a, b = len(nontrivial[0]), len(nontrivial[1])
-                if gcd(a, b) == 1:
-                    return True
-    return False

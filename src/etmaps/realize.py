@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import build, fields, groups, perms
 from .build import EpimorphismSpec, ORBIT_ROUTE
 from .fields import FiniteField, PSL2Element
-from .groups import PermGroup
+from .groups import ChainGroup, PermGroup
 from .perms import Perm
 
 
@@ -70,26 +70,26 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"the degree n must be at least 1, not {n}")
 
 
-def _sym_group(n: int, cap: int = 10**7) -> PermGroup:
+def _sym_group(n: int) -> PermGroup:
     _check_degree(n)
     if n == 1:
         return PermGroup([(0,)])
     gens = [cycle(n, *range(1, n + 1)), involution(n, [(1, 2)])]
-    return PermGroup(gens, cap=cap)
+    return PermGroup(gens)
 
 
-def _alt_group(n: int, cap: int = 10**7) -> PermGroup:
+def _alt_group(n: int) -> ChainGroup:
     if n <= 2:
-        return PermGroup([tuple(range(max(n, 1)))])
+        return ChainGroup([tuple(range(max(n, 1)))])
     if n == 3:
-        return PermGroup([cycle(3, 1, 2, 3)])
+        return ChainGroup([cycle(3, 1, 2, 3)])
     gens = [cycle(n, 1, 2, 3)]
     gens.append(cycle(n, *range(1, n + 1)) if n % 2
                 else cycle(n, *range(2, n + 1)))
-    return PermGroup(gens, cap=cap)
+    return ChainGroup(gens)
 
 
-_GROUP_CACHE: dict[tuple[str, int], PermGroup] = {}
+_GROUP_CACHE: dict[tuple[str, int], ChainGroup] = {}
 
 
 def sym_group(n: int) -> PermGroup:
@@ -99,14 +99,20 @@ def sym_group(n: int) -> PermGroup:
     return _GROUP_CACHE[key]
 
 
-def alt_group(n: int) -> PermGroup:
+def _alt_chain(n: int) -> ChainGroup:
+    """A_n known by its generators only, one per n."""
     key = ("A", n)
     if key not in _GROUP_CACHE:
         _GROUP_CACHE[key] = _alt_group(n)
     return _GROUP_CACHE[key]
 
 
-def _ids(G: PermGroup, *ps: Perm) -> list[int]:
+def alt_group(n: int) -> PermGroup:
+    """The element table of A_n: that of :func:`_alt_chain`, built once."""
+    return _alt_chain(n).table
+
+
+def _ids(G: ChainGroup, *ps: Perm) -> list[int]:
     return [G.id_of(p) for p in ps]
 
 
@@ -168,7 +174,7 @@ def _sym_even_class1_perms(n: int) -> tuple[Perm, Perm, Perm]:
         return r0, r1, r2
     if n % 4 == 1:
         if n < 9:
-            raise Unrealizable("odd involutions cannot generate S_5 "
+            raise Unrealizable(f"odd involutions cannot generate S_{n} "
                                "with r0, r2 commuting")
         k = n // 4
         r0 = involution(n, [(2 * i - 1, 2 * i) for i in range(1, 2 * k)])
@@ -395,7 +401,7 @@ def alt_class1_perms(n: int) -> tuple[Perm, Perm, Perm]:
     else:
         # n = 4k: the r0 = (1,2)(3,4) printed alongside this r1, r2 leaves the
         # blocks {1,4}{2,3}{5,12}... invariant; the 4k+3-style r0 below
-        # normalizes r2 and the triple certifies as A_n (Jordan cycle checks)
+        # normalizes r2 and the triple generates A_n (exact chain order)
         r0 = involution(n, [(1, 4), (2, 3), (5, 6), (7, 8)])
         r2 = involution(n, [(2 * i - 1, 2 * i) for i in range(1, n // 2 + 1)])
         r1 = involution(n, [(2 * i, 2 * i + 1) for i in range(1, n // 2)] + [(1, n)])
@@ -405,7 +411,7 @@ def alt_class1_perms(n: int) -> tuple[Perm, Perm, Perm]:
 def alt_class1(n: int) -> Realization:
     """Regular map with Aut = A_n; exists for n = 5 and n >= 9 only."""
     r0, r1, r2 = alt_class1_perms(n)
-    G = alt_group(n)
+    G = _alt_chain(n)
     ids = _ids(G, r0, r1, r2)
     return _realization("1", G, dict(zip(("R0", "R1", "R2"), ids)))
 
@@ -427,7 +433,7 @@ def alt_chiral_perms(n: int) -> tuple[Perm, Perm]:
 def alt_chiral(n: int) -> Realization:
     """Class 2Pex with Aut = A_n, n >= 8."""
     x, y = alt_chiral_perms(n)
-    G = alt_group(n)
+    G = _alt_chain(n)
     xi, yi = _ids(G, x, y)
     return _realization("2Pex", G, {"X": xi, "Y": yi})
 
@@ -458,8 +464,8 @@ def alt_small(label: str, n: int) -> Realization:
 
 # -- PSL(2, q) -------------------------------------------------------------------
 
-def psl2_perm_group(q_field: FiniteField, cap: int = 10**7) -> PermGroup:
-    return PermGroup(fields.psl2_group_generators(q_field), cap=cap)
+def psl2_perm_group(q_field: FiniteField) -> PermGroup:
+    return PermGroup(fields.psl2_group_generators(q_field))
 
 
 def _field_of(q: int) -> FiniteField:
@@ -478,6 +484,7 @@ def _field_of(q: int) -> FiniteField:
 def psl2_class1(q: int) -> Realization:
     """Regular map with Aut = L_2(q): r1 antidiagonal, x = diag(a, 1/a) with a
     primitive, z symmetric with trace zero against x."""
+    F = _field_of(q)
     if q in (3, 7, 9):
         raise Unrealizable(f"L_2({q}) is not a quotient of the full parent group",
                            provenance="exhausted")
@@ -486,7 +493,6 @@ def psl2_class1(q: int) -> Realization:
             f"L_2({q}) handled via exceptional isomorphisms with S_n/A_n")
     if q != 8 and q < 11:
         raise ValueError(f"unsupported q = {q}")
-    F = _field_of(q)
     one = 1
     minus_one = F.neg(one)
     r1m = PSL2Element(F, 0, one, minus_one, 0)
@@ -544,6 +550,8 @@ def nilpotent_chiral(e: int) -> Realization:
     if e < 4:
         raise Unrealizable("nilpotence classes 2..4 admit no chiral maps",
                            provenance="cited")
+    # the generation test closes the whole group, so refuse it over the cap
+    groups._check_order(2, 2 * e + 1, 10**7)
     A = groups.GpefAlphaGroup(e)
     x = A._id(1, 0, 0)   # g
     y = A._id(0, 0, 1)   # alpha

@@ -102,23 +102,35 @@ def _case(cid: str, expected, observed, source: str = "") -> Case:
     return Case(cid, str(expected), str(observed), status, source)
 
 
-def _verify_positive(real: Realization, want_aut: int | None = None,
-                     classify_cap: int = CLASSIFY_CAP) -> str:
-    """Build a claimed witness and report the observed verdict string:
-    "realizable" when the map classifies into the right class (with the right
-    automorphism group order)."""
+def _verify_positive(real: Realization, want_aut: int | None = None) -> tuple[str, str]:
+    """Check a claimed witness: the observed verdict string ("realizable"
+    when it holds) and how it was reached.
+
+    Up to :data:`CLASSIFY_CAP` flags the map is built and must classify into
+    the claimed class with the right automorphism group order ("witness
+    build").  Above it the paper's criterion decides on the spec, without a
+    map ("exact test, no map built"): the relations hold, the images
+    generate, and no forbidden pattern extends to an automorphism, so the
+    automorphism group of the map is the target group itself."""
     G = real.spec.group
     flags = G.size * build._TABLES[real.spec.class_label].transversal
-    if flags > classify_cap:
+    if flags > CLASSIFY_CAP:
+        source = "exact test, no map built"
+        violations = build.check_spec(real.spec)
+        if violations:
+            return "; ".join(violations), source
+        if want_aut is not None and G.size != want_aut:
+            return f"|Aut| = {G.size}", source
         forb, _ = build.has_forbidden_automorphism(real.spec)
-        return "realizable" if not forb else f"forbidden automorphism"
+        return ("forbidden automorphism" if forb else "realizable"), source
+    source = "witness build"
     m = real.build()
     label = classes.classify(m)
     if label != real.label:
-        return f"classified {label}"
+        return f"classified {label}", source
     if want_aut is not None and flagmaps.aut_order(m) != want_aut:
-        return f"|Aut| = {flagmaps.aut_order(m)}"
-    return "realizable"
+        return f"|Aut| = {flagmaps.aut_order(m)}", source
+    return "realizable", source
 
 
 def _verify_even_positive(real: Realization, want_aut: int) -> str:
@@ -234,10 +246,8 @@ def suite_table1_sym() -> SuiteReport:
             expected = "realizable" if _table1_sym_expected(label, n) else "unrealizable"
             if expected == "realizable":
                 real = sym_witness(label, n)
-                observed = _verify_positive(real, want_aut=G.size)
                 cases.append(_case(cid, expected,
-                                   "realizable" if observed == "realizable" else observed,
-                                   "witness build"))
+                                   *_verify_positive(real, want_aut=G.size)))
             else:
                 shape, _ = build.ORBIT_ROUTE[label]
                 key = (shape, n)
@@ -286,87 +296,17 @@ def alt_witness(label: str, n: int) -> Realization:
     return realize.propagate(realize.alt_class1(n), label)
 
 
-def _sym_conj_inverting_fixing(x: perms.Perm, y: perms.Perm) -> bool:
-    """Is there g in the ambient symmetric group with x^g = x^(-1) and
-    y^g = y?  Exact when x has a single nontrivial cycle (the inverting coset
-    is then the centralizer powers composed with one reflection)."""
-    cyc = [c for c in perms.cycles(x) if len(c) > 1]
-    assert len(cyc) == 1, "helper requires a single-cycle element"
-    n = len(x)
-    c = cyc[0]
-    base = list(range(n))
-    for i, pt in enumerate(c):
-        base[pt] = c[(-i) % len(c)]
-    g0 = tuple(base)
-    assert perms.compose(perms.compose(perms.inverse(g0), x), g0) == perms.inverse(x)
-    z = x
-    for _ in range(len(c)):
-        g = perms.compose(z, g0)
-        if perms.compose(perms.compose(perms.inverse(g), y), g) == y:
-            return True
-        z = perms.compose(z, x)
-    return False
-
-
-def _alt_certified_cell(label: str, n: int) -> str:
-    """Verdict for big A_n cells without materializing the group table:
-    relations, a Jordan-style generation certificate, and cycle-type or
-    centralizer arguments against the forbidden patterns."""
-    r = realize.alt_class1_perms(n) if label not in (
-        "2ex", "2sex", "2Pex", "5", "5s", "5P") else None
-    if r is not None:
-        r0, r1, r2 = r
-        if not perms.contains_alternating_certificate(n, [r0, r1, r2]):
-            return "generation certificate failed"
-        if any(perms.sign(p) < 0 for p in (r0, r1, r2)):
-            return "images not even"
-        if label == "1":
-            return "realizable"
-        # propagation images; forbidden patterns all die on cycle types
-        if label in ("2", "2s", "2P", "4", "4s", "4P"):
-            if perms.cycle_structure(r0) == perms.cycle_structure(r1):
-                return "cycle-type argument inapplicable"
-            return "realizable"
-        if label == "3":
-            if perms.cycle_structure(r0) in (perms.cycle_structure(r1),
-                                             perms.cycle_structure(r2)):
-                return "cycle-type argument inapplicable"
-            return "realizable"
-    x, y = realize.alt_chiral_perms(n)
-    if not perms.contains_alternating_certificate(n, [x, y]):
-        return "generation certificate failed"
-    if perms.sign(x) < 0 or perms.sign(y) < 0:
-        return "images not even"
-    if label in ("2ex", "2sex", "2Pex"):
-        return "realizable" if not _sym_conj_inverting_fixing(x, y) else \
-            "inverting automorphism"
-    # 5 family: transpose patterns die on cycle types, inversion as above
-    if perms.cycle_structure(x) == perms.cycle_structure(y):
-        return "cycle-type argument inapplicable"
-    return "realizable" if not _sym_conj_inverting_fixing(x, y) else \
-        "inverting automorphism"
-
-
 def suite_table1_alt() -> SuiteReport:
     cases = []
     searched: dict[tuple[str, int], bool] = {}
-    big_table_cap = 400_000
     for n in range(2, 11):
         for label in classes.LABELS:
             cid = f"A{n}-{label}"
             expected = "realizable" if _table1_alt_expected(label, n) else "unrealizable"
             if expected == "realizable":
-                if factorial(n) // 2 > big_table_cap:
-                    observed = _alt_certified_cell(label, n)
-                    cases.append(_case(cid, expected,
-                                       "realizable" if observed == "realizable" else observed,
-                                       "certified (beyond table cap)"))
-                    continue
                 real = alt_witness(label, n)
-                observed = _verify_positive(real, want_aut=factorial(n) // 2)
                 cases.append(_case(cid, expected,
-                                   "realizable" if observed == "realizable" else observed,
-                                   "witness build"))
+                                   *_verify_positive(real, want_aut=factorial(n) // 2)))
             else:
                 G = realize.alt_group(n)
                 shape, _ = build.ORBIT_ROUTE[label]
@@ -429,10 +369,8 @@ def suite_table1_psl2() -> SuiteReport:
                     res = build.search_epimorphisms("1", G, exhaustive=False, limit=1)
                     real = Realization("1", EpimorphismSpec("1", G, res.witnesses[0]), "")
                 class1_witness[q] = real
-                observed = _verify_positive(real, want_aut=G.size)
                 cases.append(_case(cid, expected,
-                                   "realizable" if observed == "realizable" else observed,
-                                   "witness build"))
+                                   *_verify_positive(real, want_aut=G.size)))
                 continue
             # classes 2, 2s, 2P, 3, 4, 4s, 4P
             if q not in class2_witness:
@@ -451,10 +389,7 @@ def suite_table1_psl2() -> SuiteReport:
                 real = Realization(label, base2.spec, build.ORBIT_ROUTE[label][1])
             else:
                 real = realize.propagate(base2, label)
-            observed = _verify_positive(real, want_aut=G.size)
-            cases.append(_case(cid, expected,
-                               "realizable" if observed == "realizable" else observed,
-                               "witness build"))
+            cases.append(_case(cid, expected, *_verify_positive(real, want_aut=G.size)))
     # N46.3 cross-check
     real = realize.psl2_class1(11)
     m = real.build()

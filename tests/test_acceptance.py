@@ -146,14 +146,13 @@ def test_criterion_9c_omega_equivariance():
 
 def test_criterion_9d_jordan_orders_on_even_corpus():
     """The even-realization constructions are primitive with a short-cycle
-    power; by Jordan / its classification-strengthened form the closure must
-    be all of Sym(n).  Verified by exact stabilizer-chain order for n = 9 and 10."""
+    power, so by Jordan's theorem the closure is all of Sym(n).  Checked by
+    the exact stabilizer-chain order for n = 9 and 10."""
     for n in (9, 10):
         r0, r1, r2 = realize._sym_even_class1_perms(n)
         gens = [r0, r1, r2]
         assert perms.is_primitive(n, gens)
-        assert perms.contains_alternating_certificate(n, gens)
-        order = perms.group_order(perms.group_spec(gens))
+        order = perms.group_order(perms.group_spec(gens), cap=math.factorial(n))
         assert order == math.factorial(n), (n, order)
         print(f"[9d jordan-closure] n={n}: |G| = {order} = {n}!")
     # Case 3 corpus (two coprime cycles): closure equals n! at n = 9

@@ -163,13 +163,13 @@ def test_console_script_installed():
     _assert_rewrite_soundness_passes(proc)
 
 
-def run_module(args, cwd=None):
+def run_module(args, cwd=None, timeout=None):
     """Run ``python -m etmaps.cli`` in a fresh interpreter that finds the
     package only via PYTHONPATH."""
     src = str(Path(etmaps.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "etmaps.cli", *args], cwd=cwd,
+        [sys.executable, "-m", "etmaps.cli", *args], cwd=cwd, timeout=timeout,
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
 
 
@@ -353,3 +353,48 @@ def test_spec_ops_not_a_string_is_input_error(capsys, tmp_path):
     (tmp_path / "spec.json").write_text(json.dumps(obj))
     _assert_input_error_in_process(
         capsys, ["build", "--spec", str(tmp_path / "spec.json")], '"ops"')
+
+
+def test_realize_alt_a10_prints_the_table_built_spec(capsys):
+    # the bytes printed when the spec was built on the 1,814,400-element table
+    code, out = run_cli(["realize", "--family", "alt", "--class", "2", "--n", "10"],
+                        capsys=capsys)
+    assert code == 0
+    assert out == (
+        '{"class": "2", "group": {"degree": 10, "generators": ["(1,2,3)", '
+        '"(2,3,4,5,6,7,8,9,10)"]}, "images": {"S1": "(1,2)(3,4)", "S2": '
+        '"(2,3)(4,5)(6,7)(8,9)", "S3": "(3,4)(5,6)(7,8)(9,10)"}, "label": "2", '
+        '"ops": ""}\n')
+
+
+def test_realize_alt_beyond_the_table_cap(capsys):
+    # |A_12| = 239,500,800: the spec needs no table, the map does
+    code, out = run_cli(["realize", "--family", "alt", "--class", "2", "--n", "12"],
+                        capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["group"]["degree"] == 12
+    _assert_input_error_in_process(
+        capsys, ["realize", "--family", "alt", "--class", "2", "--n", "12",
+                 "--emit-map"], "cap of 10000000")
+
+
+@pytest.mark.parametrize("q", ["0", "1"])
+def test_realize_psl2_q_not_a_prime_power_is_input_error(capsys, q):
+    _assert_input_error_in_process(
+        capsys, ["realize", "--family", "psl2", "--q", q], f"{q} is not a prime power")
+
+
+def test_realize_nilpotent_chiral_over_cap_is_input_error():
+    # order 2^61: refused before the generation test closes the group
+    proc = run_module(["realize", "--family", "nilpotent-chiral", "--e", "30"],
+                      timeout=60)
+    _assert_input_error(proc)
+    assert "cap of 10000000" in proc.stderr
+
+
+def test_realize_sym_even_names_the_degree_asked_for(capsys):
+    code, out = run_cli(["realize", "--family", "sym-even", "--class", "1",
+                         "--n", "1"], capsys=capsys)
+    assert code == 0
+    reason = json.loads(out)["unrealizable"]
+    assert "S_1" in reason and "S_5" not in reason

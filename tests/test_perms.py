@@ -180,14 +180,3 @@ def test_cycle_string_roundtrip():
 def test_perm_json_roundtrip():
     p = P("(1,3,2)", 5)
     assert perms.perm_from_json(perms.perm_to_json(p)) == p
-
-
-def test_contains_alternating_certificate():
-    # S_9 generated by a 9-cycle and an adjacent transposition: certificate
-    # must find a short cycle power and confirm containment of Alt(9)
-    c = tuple(list(range(1, 9)) + [0])
-    t = P("(1,2)", 9)
-    assert perms.contains_alternating_certificate(9, [c, t])
-    # an imprimitive group never certifies
-    gens = [P("(1,2,3,4,5,6)", 6), P("(1,6)(2,3)(4,5)", 6)]
-    assert not perms.contains_alternating_certificate(6, gens)
