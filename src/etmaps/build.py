@@ -431,17 +431,6 @@ def _candidate_domains(label: str, G: GroupTable,
     return domains
 
 
-def _orbit_leaders(n: int, conj: list[np.ndarray]) -> np.ndarray:
-    """Boolean mask of the least member of every orbit of the group whose
-    conjugation id permutations are ``conj``."""
-    if not conj:
-        return np.ones(n, dtype=bool)
-    ids, _ = perms.orbit_ids(n, conj)
-    # orbits are numbered by least member, so the running maximum of the
-    # ids rises exactly at each orbit's least member
-    return np.diff(np.maximum.accumulate(ids), prepend=-1) > 0
-
-
 def _canonical_tuples(G: GroupTable, domains: list[list[int]], first: list[int],
                       inv: np.ndarray, commute_0_2: bool):
     """Image tuples in lex order: the first image from ``first``, each later
@@ -465,7 +454,9 @@ def _canonical_tuples(G: GroupTable, domains: list[list[int]], first: list[int],
         cent = groups.conjugation(G, prefix[-1], inv) == ident
         cents = cents + [cents[-1] & cent if cents else cent]
         cand = slots[k] & cents[0] if commute_0_2 and k == 2 else slots[k]
-        cand = cand & _orbit_leaders(n, groups.conjugation_generators(G, cents[-1], inv))
+        _, leaders = groups.conjugation_orbits(
+            n, groups.conjugation_generators(G, cents[-1], inv))
+        cand = cand & leaders
         for y in np.flatnonzero(cand).tolist():
             yield from descend(prefix + (y,), cents)
 
@@ -555,9 +546,9 @@ def search_epimorphisms(label: str, G: GroupTable, *,
     transitive = isinstance(G, groups.PermGroup) and perms.is_transitive(
         G.degree, [G.elem(g) for g in G.generators])
     names = GENERATOR_NAMES[shape]
-    inv = np.array([G.inverse(x) for x in range(G.size)])
+    inv = groups.inverse_ids(G)
     conj_g = groups.conjugation_generators(G, np.ones(G.size, dtype=bool), inv)
-    class_leaders = _orbit_leaders(G.size, conj_g)
+    _, class_leaders = groups.conjugation_orbits(G.size, conj_g)
     seen: set[tuple[int, ...]] = set()
     witnesses: list[dict[str, int]] = []
     examined = 0

@@ -12,10 +12,12 @@ Automorphism questions are never answered by materializing Aut(G); they are
 phrased as extension questions on generating tuples
 (:func:`hom_extension_exists`), which covers outer automorphisms.  On
 permutation groups generation and extension are order tests on stabilizer
-chains (:func:`perms.order_exceeds`); other tables walk the Cayley graph
-(:func:`hom_extension`, which also returns the image array).  The one
-exception is :func:`simultaneous_inversion_survey` given permutations that
-induce Aut(G): it closes their action on element ids as an array.
+chains (:func:`perms.order_exceeds`).  Other tables close subgroups over
+:meth:`GroupTable.right_mult` id arrays, one layer at a time, and walk the
+Cayley graph for extension (:func:`hom_extension`, which also returns the
+image array).  The one exception is :func:`simultaneous_inversion_survey`
+given permutations that induce Aut(G): it closes their action on element
+ids as an array.
 """
 
 from __future__ import annotations
@@ -40,6 +42,26 @@ def _exponents(value: list, arity: int) -> tuple[int, ...]:
     if len(value) != arity or not all(_is_int(c) for c in value):
         raise ValueError(f"{value!r} is not a list of {arity} integer exponents")
     return tuple(value)
+
+
+def _close(span: np.ndarray, mults: Sequence[np.ndarray], frontier: np.ndarray,
+           cap: int | None = None) -> int:
+    """Mark in the boolean id mask ``span`` everything reached from the ids
+    ``frontier`` by right multiplication with the id arrays ``mults``, one
+    layer at a time, and return the number of marked ids.  Ids marked on
+    entry count as reached.  A layer gathers the frontier's products only, so
+    its cost follows the frontier, not the group order.  :class:`CapExceeded`
+    as soon as a layer takes the count past ``cap``."""
+    count = int(np.count_nonzero(span))
+    while mults and len(frontier):
+        reached = np.concatenate([m[frontier] for m in mults])
+        reached = np.sort(reached[~span[reached]])
+        frontier = reached[np.diff(reached, prepend=-1) != 0]  # each id once
+        span[frontier] = True
+        count += len(frontier)
+        if cap is not None and count > cap and len(frontier):
+            raise CapExceeded(cap)
+    return count
 
 
 class GroupTable:
@@ -111,22 +133,15 @@ class GroupTable:
                             self.product(a, b))
 
     def subgroup(self, seed: Iterable[int], cap: int | None = None) -> list[int]:
-        """Sorted element ids of the subgroup generated by ``seed``."""
-        seen = {0}
-        frontier = [0]
-        gens = [s for s in dict.fromkeys(seed)]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in gens:
-                    y = self.product(x, s)
-                    if y not in seen:
-                        if cap is not None and len(seen) >= cap:
-                            raise CapExceeded(cap)
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return sorted(seen)
+        """Sorted element ids of the subgroup generated by ``seed``: the
+        identity closed under the seed's :meth:`right_mult` arrays by
+        :func:`_close`.  :class:`CapExceeded` as soon as the closure passes
+        ``cap`` elements."""
+        span = np.zeros(self.size, dtype=bool)
+        span[0] = True
+        _close(span, [self.right_mult(s) for s in dict.fromkeys(seed)],
+               np.zeros(1, dtype=np.int64), cap)
+        return np.flatnonzero(span).tolist()
 
     def generates(self, seed: Iterable[int]) -> bool:
         """True iff ``seed`` generates the whole group.  A subgroup has order
@@ -162,7 +177,8 @@ class ChainGroup(GroupTable):
     by a chain order test).  They are internal; elements print as cycles.
     The element table, the :class:`PermGroup` on the same generators under
     its default cap, is built by the first :meth:`right_mult`, when a map is
-    built, and answers in its own BFS ids.
+    built, and answers in its own BFS ids; so does :meth:`subgroup`, which
+    closes over those arrays.
     """
 
     def __init__(self, generators: Sequence[Perm]):
@@ -307,6 +323,14 @@ class GpefGroup(GroupTable):
         k, l = divmod(b, self.n)
         return self._id(i + k, pow(self.r, k, self.n) * j + l)
 
+    def right_mult(self, w: int) -> np.ndarray:
+        """:meth:`product` by ``w`` = g^k h^l on every id at once: id i*n + j
+        goes to row i + k, column r^k j + l."""
+        k, l = divmod(w, self.n)
+        steps = np.arange(self.n)
+        return np.add.outer((steps + k) % self.n * self.n,
+                            (pow(self.r, k, self.n) * steps + l) % self.n).ravel()
+
     def inverse(self, a: int) -> int:
         i, j = divmod(a, self.n)
         k = (-i) % self.n
@@ -364,6 +388,17 @@ class GpefAlphaGroup(GroupTable):
             k2, l2 = k, l
         return self._id(i + k2, pow(5, k2, self.n) * j + l2, eps + delta)
 
+    def right_mult(self, w: int) -> np.ndarray:
+        """:meth:`product` by ``w`` = g^k h^l alpha^delta on every id at
+        once, as an (i, j, eps) grid.  The alpha image of g^k h^l keeps k, so
+        only the h exponent added, l or its image, depends on eps."""
+        k, l, delta = self.coords(w)
+        steps = np.arange(self.n)
+        rows = (steps + k) % self.n * self.n * 2
+        cols = (pow(5, k, self.n) * steps[:, None]
+                + [l, self._alpha_img(k, l)[1]]) % self.n * 2 + [delta, 1 - delta]
+        return (rows[:, None, None] + cols).ravel()
+
     def inverse(self, a: int) -> int:
         i, j, eps = self.coords(a)
         if not eps:
@@ -406,6 +441,12 @@ class DirectProduct(GroupTable):
         a1, a2 = divmod(a, self.right.size)
         b1, b2 = divmod(b, self.right.size)
         return self.left.product(a1, b1) * self.right.size + self.right.product(a2, b2)
+
+    def right_mult(self, w: int) -> np.ndarray:
+        """From the factors' arrays: id a*|B| + b goes to (a w1)*|B| + b w2."""
+        w1, w2 = divmod(w, self.right.size)
+        return np.add.outer(self.left.right_mult(w1) * self.right.size,
+                            self.right.right_mult(w2)).ravel()
 
     def inverse(self, a: int) -> int:
         a1, a2 = divmod(a, self.right.size)
@@ -531,18 +572,22 @@ def normal_closure(G: GroupTable, seed: Iterable[int],
         conjugators = G.generators
     conj = list(conjugators) + [G.inverse(c) for c in conjugators]
     gens = [s for s in dict.fromkeys(seed) if s != 0]
-    members = set(G.subgroup(gens))
+    members = np.zeros(G.size, dtype=bool)
+    members[0] = True
+    mults = [G.right_mult(s) for s in gens]
+    _close(members, mults, np.zeros(1, dtype=np.int64))
     changed = True
     while changed:
         changed = False
         for h in list(gens):
             for c in conj:
                 x = G.conjugate(h, c)
-                if x not in members:
+                if not members[x]:
                     gens.append(x)
-                    members = set(G.subgroup(gens))
+                    mults.append(G.right_mult(x))
+                    _close(members, mults, np.flatnonzero(members))
                     changed = True
-    return SubgroupSet(G, tuple(sorted(members)), tuple(gens))
+    return SubgroupSet(G, tuple(np.flatnonzero(members).tolist()), tuple(gens))
 
 
 def derived_subgroup(G: GroupTable) -> SubgroupSet:
@@ -592,28 +637,18 @@ def nilpotence_class(G: GroupTable) -> int | None:
     return c
 
 
+def inverse_ids(G: GroupTable) -> np.ndarray:
+    """The inverse of every element id, as an array."""
+    return np.array([G.inverse(x) for x in range(G.size)])
+
+
 def conjugacy_classes(G: GroupTable) -> list[list[int]]:
-    conj = list(G.generators) + [G.inverse(g) for g in G.generators]
-    seen = [False] * G.size
-    classes = []
-    for x in range(G.size):
-        if seen[x]:
-            continue
-        orbit = [x]
-        seen[x] = True
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for c in conj:
-                    z = G.conjugate(y, c)
-                    if not seen[z]:
-                        seen[z] = True
-                        orbit.append(z)
-                        nxt.append(z)
-            frontier = nxt
-        classes.append(sorted(orbit))
-    return classes
+    """The orbits of G's :func:`conjugation_generators` on its elements, each
+    sorted, in order of least member."""
+    ids, _ = conjugation_orbits(
+        G.size, conjugation_generators(G, np.ones(G.size, dtype=bool), inverse_ids(G)))
+    by_class = np.argsort(ids, kind="stable")
+    return [c.tolist() for c in np.split(by_class, np.cumsum(np.bincount(ids))[:-1])]
 
 
 def conjugation(G: GroupTable, x: int, inv: np.ndarray) -> np.ndarray:
@@ -635,21 +670,26 @@ def conjugation_generators(G: GroupTable, members: np.ndarray,
     order = int(members.sum())
     span = np.zeros(G.size, dtype=bool)
     span[0] = True
+    count = 1
     mults: list[np.ndarray] = []
     conj: list[np.ndarray] = []
-    while int(span.sum()) < order:
+    while count < order:
         g = int(np.flatnonzero(members & ~span)[0])
         r = G.right_mult(g)
         mults.append(r)
         conj.append(inv[r[inv[r]]])  # conjugation(G, g, inv), reusing r
-        frontier = np.flatnonzero(span)
-        while len(frontier):
-            reached = np.zeros(G.size, dtype=bool)
-            for m in mults:
-                reached[m[frontier]] = True
-            frontier = np.flatnonzero(reached & ~span)
-            span[frontier] = True
+        count = _close(span, mults, np.flatnonzero(span))
     return conj
+
+
+def conjugation_orbits(n: int, conj: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit ids, numbered by least member, of the group whose conjugation id
+    permutations are ``conj`` (:func:`perms.orbit_ids`), and a boolean mask
+    of the least member of every orbit."""
+    ids = perms.orbit_ids(n, conj)[0] if conj else np.arange(n)
+    # orbits are numbered by least member, so the running maximum of the
+    # ids rises exactly at each orbit's least member
+    return ids, np.diff(np.maximum.accumulate(ids), prepend=-1) > 0
 
 
 def involutions(G: GroupTable) -> list[int]:
@@ -787,8 +827,13 @@ def simultaneous_inversion_survey(G: GroupTable,
     automorphism inverts both; report counts and the first counterexample
     in row-major order.
 
-    Without ``aut_gens`` each generating pair is tested with
-    :func:`hom_extension_exists` (covers outer automorphisms).
+    Without ``aut_gens`` each canonical pair is tested with
+    :func:`hom_extension_exists` (covers outer automorphisms).  Generation
+    and inversion are invariant under simultaneous conjugation, so the pairs
+    are those the exhaustive search scans: x the least member of its
+    conjugacy class, y the least member of its orbit under conjugation by
+    C_G(x), weighted by class size times orbit size.  Every member of an
+    orbit of bad pairs is bad, so the least bad pair is canonical.
 
     With ``aut_gens`` (permutations normalizing a :class:`PermGroup` G and
     inducing all of Aut G, e.g. PGammaL(2,q) over PSL(2,q)) the survey runs
@@ -802,22 +847,23 @@ def simultaneous_inversion_survey(G: GroupTable,
     """
     n = G.size
     if aut_gens is None:
-        # generation and invertibility are invariant under simultaneous
-        # conjugation, so scan one representative per conjugacy class in the
-        # first slot and weight by the class size; the counts stay exact
+        inv = inverse_ids(G)
+        ident = np.arange(n)
         generating = 0
         inverted = 0
         counterexample = None
         for cls in conjugacy_classes(G):
             x = cls[0]
-            xi = G.inverse(x)
-            weight = len(cls)
-            for y in range(n):
+            cent = conjugation(G, x, inv) == ident
+            orbit_of, leaders = conjugation_orbits(
+                n, conjugation_generators(G, cent, inv))
+            weights = (len(cls) * np.bincount(orbit_of)[orbit_of]).tolist()
+            for y in np.flatnonzero(leaders).tolist():
                 if not G.generates((x, y)):
                     continue
-                generating += weight
-                if hom_extension_exists(G, (x, y), (xi, G.inverse(y))):
-                    inverted += weight
+                generating += weights[y]
+                if hom_extension_exists(G, (x, y), (int(inv[x]), int(inv[y]))):
+                    inverted += weights[y]
                 elif counterexample is None:
                     counterexample = (x, y)
         return SurveyReport(n, n * n, generating, inverted, counterexample)

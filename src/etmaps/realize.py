@@ -12,12 +12,13 @@ negative is catalog data beyond desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, isqrt
 
 from . import build, fields, groups, perms
 from .build import EpimorphismSpec, ORBIT_ROUTE
 from .fields import FiniteField, PSL2Element
 from .groups import ChainGroup, PermGroup
-from .perms import Perm
+from .perms import CapExceeded, Perm
 
 
 class Unrealizable(Exception):
@@ -465,19 +466,28 @@ def alt_small(label: str, n: int) -> Realization:
 # -- PSL(2, q) -------------------------------------------------------------------
 
 def psl2_perm_group(q_field: FiniteField) -> PermGroup:
+    """L_2(q) on the q + 1 points of the projective line.  Its order
+    q(q^2 - 1)/gcd(2, q - 1) is checked against the table cap first, so that
+    a group over the cap is refused before a stabilizer chain of degree
+    q + 1 is built."""
+    q = q_field.q
+    if q * (q * q - 1) // gcd(2, q - 1) > 10**7:
+        raise CapExceeded(10**7)
     return PermGroup(fields.psl2_group_generators(q_field))
 
 
 def _field_of(q: int) -> FiniteField:
-    for p in range(2, q + 1):
-        if fields.is_prime(p):
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m == 1:
-                return FiniteField(p, e)
+    """The field of order q.  Its characteristic is the least prime factor of
+    q, found by trial division up to the square root: q is prime when none
+    divides it."""
+    if q >= 2:
+        p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+        m, e = q, 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if m == 1:
+            return FiniteField(p, e)
     raise ValueError(f"{q} is not a prime power")
 
 

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -382,6 +383,14 @@ def test_realize_alt_beyond_the_table_cap(capsys):
 def test_realize_psl2_q_not_a_prime_power_is_input_error(capsys, q):
     _assert_input_error_in_process(
         capsys, ["realize", "--family", "psl2", "--q", q], f"{q} is not a prime power")
+
+
+def test_realize_psl2_over_cap_is_refused_by_its_order(capsys):
+    # |L2(10007)| is about 5e11, known in closed form: no chain of degree 10008
+    start = time.perf_counter()
+    _assert_input_error_in_process(
+        capsys, ["realize", "--family", "psl2", "--q", "10007"], "cap of 10000000")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_realize_nilpotent_chiral_over_cap_is_input_error():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from etmaps import fields, groups, perms, realize
-from etmaps.groups import (GpefAlphaGroup, GpefGroup, PermGroup, center,
+from etmaps.groups import (DirectProduct, GpefAlphaGroup, GpefGroup, PermGroup, center,
                            conjugacy_classes, count_triples_brute,
                            derived_length, derived_series, derived_subgroup,
                            hom_extension_exists, index2_characters, involutions,
@@ -212,6 +212,13 @@ _RIGHT_MULT_GROUPS = {
     "S8": lambda: realize.sym_group(8),
     # above degree 16 the product loop itself answers
     "S3-on-17": lambda: PermGroup([P("(1,2,3)", 17), P("(1,2)", 17)]),
+    "G(3,2,1)": lambda: GpefGroup(3, 2, 1),
+    "G(2,5,3)": lambda: GpefGroup(2, 5, 3),
+    "alpha-3": lambda: GpefAlphaGroup(3),
+    "alpha-5": lambda: GpefAlphaGroup(5),
+    "S3 x G(3,1,1)": lambda: DirectProduct(realize.sym_group(3), GpefGroup(3, 1, 1)),
+    "D4 x alpha-3": lambda: DirectProduct(
+        PermGroup([P("(1,2,3,4)", 4), P("(1,3)", 4)]), GpefAlphaGroup(3)),
 }
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 
@@ -237,6 +238,17 @@ def test_psl2_class1_rejects():
     for q in (3, 7, 9):
         with pytest.raises(Unrealizable):
             realize.psl2_class1(q)
+
+
+def test_field_of_finds_the_characteristic_by_trial_division():
+    start = time.perf_counter()
+    F = realize._field_of(1000003)
+    assert (F.p, F.e) == (1000003, 1)
+    assert time.perf_counter() - start < 1.0
+    F = realize._field_of(2 ** 20)
+    assert (F.p, F.e) == (2, 20)
+    with pytest.raises(ValueError, match="12 is not a prime power"):
+        realize._field_of(12)
 
 
 def test_psl2_class2_q7_orders():

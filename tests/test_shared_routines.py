@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etmaps import build, classes, flagmaps, groups, perms, realize
 from etmaps.flagmaps import FlagMap
@@ -117,6 +118,19 @@ def test_is_isomorphic_matches_brute_force():
         if m1.n == m2.n:
             expected = bool(_commuting_bijections(m1, m2))
             assert flagmaps.is_isomorphic(m1, m2) == expected
+
+
+BUILT = CORPUS + [realize.dihedral_spec(m).build() for m in (3, 4, 5)] + [
+    realize.sym_class1(4).build()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dual_and_petrie_commute_with_relabelling(data):
+    m = data.draw(st.sampled_from(BUILT))
+    p = np.array(data.draw(st.permutations(range(m.n))))
+    for op in (FlagMap.dual, FlagMap.petrie):
+        assert _arrays(op(_relabel(m, p))) == _arrays(_relabel(op(m), p))
 
 
 def _tetrahedron() -> FlagMap:

@@ -1,10 +1,13 @@
-"""The simultaneous inversion survey with an automorphism action.
+"""The simultaneous inversion survey, with and without an automorphism action.
 
 ``simultaneous_inversion_survey(G, aut_gens)`` runs on the induced action as
 id arrays.  ``reference_survey`` below is the element-by-element version it
 replaced: every member of <aut_gens> conjugates every element, inversion sets
 are bit masks, orbits and transport are a BFS, and the n^2 count is a Python
-loop.  Both must give the same report, counterexample included.
+loop.  Without ``aut_gens`` the survey scans canonical pairs only;
+``class_rep_survey`` is the version it replaced, which pairs each class
+leader with every element.  Each pair of versions must give the same report,
+counterexample included.
 """
 
 import os
@@ -16,8 +19,10 @@ import pytest
 
 import etmaps
 from etmaps import fields, perms, realize
-from etmaps.groups import GpefGroup, PermGroup, SurveyReport, simultaneous_inversion_survey
+from etmaps.groups import (DirectProduct, GpefGroup, PermGroup, SurveyReport,
+                           hom_extension_exists, simultaneous_inversion_survey)
 from test_closure import python_closure
+from test_table_closure import python_conjugacy_classes
 
 
 def aut_action_arrays(G, aut_gens):
@@ -167,6 +172,65 @@ def test_survey_with_no_aut_gens(cycle):
     rep = simultaneous_inversion_survey(G, [])
     assert rep == reference_survey(G, [tuple(range(len(cycle)))])
     assert rep.all_inverted == (len(cycle) == 2)
+
+
+def class_rep_survey(G):
+    """The survey without an automorphism action as it was before canonical
+    pairs: the least member of each conjugacy class against every y, weighted
+    by class size, each generating pair tested by hom_extension_exists."""
+    n = G.size
+    generating = 0
+    inverted = 0
+    counterexample = None
+    for cls in python_conjugacy_classes(G):
+        x = cls[0]
+        xi = G.inverse(x)
+        weight = len(cls)
+        for y in range(n):
+            if not G.generates((x, y)):
+                continue
+            generating += weight
+            if hom_extension_exists(G, (x, y), (xi, G.inverse(y))):
+                inverted += weight
+            elif counterexample is None:
+                counterexample = (x, y)
+    return SurveyReport(n, n * n, generating, inverted, counterexample)
+
+
+def _d4_x_c2():
+    return PermGroup([perms.parse_cycles("(1,2,3,4)", 6), perms.parse_cycles("(1,3)", 6),
+                      perms.parse_cycles("(5,6)", 6)])
+
+
+def _f21():
+    """The Frobenius group of order 21: x -> x + 1 and x -> 2x mod 7."""
+    return PermGroup([tuple((x + 1) % 7 for x in range(7)),
+                      tuple(2 * x % 7 for x in range(7))])
+
+
+CANONICAL = {
+    **{f"S{n}": (lambda n=n: realize.sym_group(n)) for n in range(2, 6)},
+    "D4 x C2": _d4_x_c2,
+    "D4 x C2 table": lambda: DirectProduct(
+        PermGroup([perms.parse_cycles("(1,2,3,4)", 4), perms.parse_cycles("(1,3)", 4)]),
+        PermGroup([(1, 0)])),
+    "F21": _f21,
+    "G(3,2,1)": lambda: GpefGroup(3, 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL))
+def test_canonical_pair_survey_matches_class_rep_survey(name):
+    G = CANONICAL[name]()
+    assert simultaneous_inversion_survey(G) == class_rep_survey(G)
+
+
+@pytest.mark.parametrize("name, pair", [("F21", (1, 2)), ("G(3,2,1)", (1, 9))])
+def test_canonical_pair_survey_counterexamples(name, pair):
+    G = CANONICAL[name]()
+    rep = simultaneous_inversion_survey(G)
+    assert rep.counterexample == pair
+    assert G.generates(pair)
 
 
 def test_maps_and_survey_do_not_import_numpy_ma():
