@@ -7,8 +7,8 @@ Sym(flags), computed here by color refinement plus exact extension tests.
 
 Every map caches one BFS spanning tree of its flag graph from flag 0, built
 at construction.  The extension walk and the orientation colouring run on it
-layer by layer as array gathers; the stabilizer filter walks its paths back
-to flag 0.  Disconnected flag triples are rejected at
+layer by layer as array gathers; a failed automorphism test walks its paths
+to build a word fixing flag 0.  Disconnected flag triples are rejected at
 construction (the tree does not reach every flag); ``join`` is the only
 operation that extracts a component, by the same BFS order run layer by
 layer on packed int64 pair keys.
@@ -17,7 +17,6 @@ layer on packed int64 pair keys.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -237,72 +236,62 @@ def _stable_colors(m: FlagMap) -> np.ndarray:
     return colors
 
 
-def _rooted_match(m1: FlagMap, m2: FlagMap, root2: int) -> np.ndarray | None:
-    """The isomorphism commuting with all three involutions that sends flag 0
-    of m1 to flag root2 of m2, as a flag image array, or None.  It is unique
-    when it exists, since the flag action is connected: it is extended along
-    m1's spanning tree one gather per chunk, then checked on every flag.  With
-    m1 = m2 it is the automorphism sending flag 0 to root2."""
-    if m1.n != m2.n:
-        return None
+def _extension(m1: FlagMap, m2: FlagMap,
+               root2: int) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """The flag map a with a[0] = root2 extended along m1's spanning tree
+    (one gather per chunk, so a[r_s x] = r_s a[x] on every tree edge), and
+    its first defect: the least s, then the least x, with a[r_s x] !=
+    r_s a[x].  The defect is None exactly when a is an isomorphism m1 -> m2;
+    m1 and m2 must have the same number of flags."""
     a = np.empty(m1.n, dtype=np.int64)
     a[0] = root2
     for s, children, parents in m1._tree.chunks:
         a[children] = m2.r[s][a[parents]]
-    for arr1, arr2 in zip(m1.r, m2.r):
-        if not np.array_equal(a[arr1], arr2[a]):
-            return None
-    return a
+    for s, (arr1, arr2) in enumerate(zip(m1.r, m2.r)):
+        bad = a[arr1] != arr2[a]
+        if bad.any():
+            return a, (s, int(bad.argmax()))
+    return a, None
 
 
-_STABILIZER_ROUNDS = 8
+def _rooted_match(m1: FlagMap, m2: FlagMap, root2: int) -> np.ndarray | None:
+    """The isomorphism commuting with all three involutions that sends flag 0
+    of m1 to flag root2 of m2, as a flag image array, or None.  It is unique
+    when it exists, since the flag action is connected.  With m1 = m2 it is
+    the automorphism sending flag 0 to root2."""
+    if m1.n != m2.n:
+        return None
+    a, defect = _extension(m1, m2, root2)
+    return a if defect is None else None
 
 
-def _stabilizer_filter(m: FlagMap, candidates: np.ndarray) -> np.ndarray:
-    """Shrink the candidate images of flag 0 using random elements of its
-    monodromy stabilizer, evaluated as whole flag arrays.
-
-    An automorphism maps flag 0 to c only if every word fixing 0 also fixes
-    c, so candidates moved by a stabilizer element are discarded exactly.
-    """
-    rng = random.Random(12345)
-    n = m.n
-    parent, psym = m._tree.parent, m._tree.gen
-    for _ in range(_STABILIZER_ROUNDS):
-        if len(candidates) <= 64:
-            break
-        word = [rng.randrange(3) for _ in range(24)]
-        arr = np.arange(n)
-        for s in word:
-            arr = m.r[s][arr]
-        # walk the tree path from arr[0] back to the root
-        u = int(arr[0])
-        path = []
-        while u != 0:
-            path.append(int(psym[u]))
-            u = int(parent[u])
-        for s in path:
-            arr = m.r[s][arr]
-        if int(arr[0]) != 0:
-            raise AssertionError("stabilizer walk failed to close")
-        candidates = candidates[arr[candidates] == candidates]
-    return candidates
+def _path_to_root(m: FlagMap, x: int) -> list[int]:
+    """The generator labels on the tree path from flag x back to flag 0."""
+    parent, gen = m._tree.parent, m._tree.gen
+    word = []
+    while x:
+        word.append(int(gen[x]))
+        x = int(parent[x])
+    return word
 
 
 def aut_generators(m: FlagMap) -> tuple[list[np.ndarray], np.ndarray]:
     """Generators of Aut(m) and the orbit id array of its action on flags.
 
-    Candidates for the image of flag 0 are pruned by stable colors, by random
-    stabilizer elements, and by the orbit already generated; the extension
-    test is exact, so the pruning never affects the result.  Aut acts
-    semiregularly: |Aut| = orbit size of flag 0.
+    Each step tests the least candidate image c of flag 0 that is of the
+    colour of flag 0, outside the orbit generated so far, and not ruled out.
+    A failed test rules out the current orbit of c, and every candidate
+    moved by the Schreier generator its first defect names: a monodromy
+    word fixing flag 0 and moving c.  Only non-images are ruled out, so the
+    k-th generator is always the automorphism sending 0 to the least image
+    outside the orbit of the first k - 1 (proof in docs/decisions.md).  Aut
+    acts semiregularly: |Aut| = orbit size of flag 0.
     """
     if m._aut is not None:
         return m._aut
     colors = _stable_colors(m)
-    candidates = np.nonzero(colors == colors[0])[0]
-    if len(candidates) > 256:
-        candidates = _stabilizer_filter(m, candidates)
+    undecided = colors == colors[0]
+    undecided[0] = False
     gens: list[np.ndarray] = []
     gens_both: list[np.ndarray] = []  # generators and their inverses
     in_orbit = np.zeros(m.n, dtype=bool)
@@ -323,25 +312,36 @@ def aut_generators(m: FlagMap) -> tuple[list[np.ndarray], np.ndarray]:
             frontier = np.flatnonzero(reached & ~mask)
             mask[frontier] = True
 
-    for cand in candidates:
-        c = int(cand)
-        if in_orbit[c] or ruled_out[c]:
-            continue
-        g = _rooted_match(m, m, c)
-        if g is not None:
+    c = 0
+    while undecided[c + 1:].any():
+        # the least undecided candidate lies above the last one tested: each
+        # test decides its candidate, and no flag becomes undecided again
+        c += 1 + int(undecided[c + 1:].argmax())
+        g, defect = _extension(m, m, c)
+        if defect is None:
             inv = np.empty(m.n, dtype=np.int64)
             inv[g] = np.arange(m.n)
             gens.append(g)
             gens_both.extend((g, inv))
             close(in_orbit, 0)
-        else:
-            # if h(0) is a valid image for h in the group found so far and
-            # a(0) = h(c) succeeded, then h^-1 a would map 0 to c; so the
-            # whole current orbit of a failed candidate fails with it
-            close(ruled_out, c)
-    ids, _ = perms.orbit_ids(m.n, gens)
-    # an array already; with no generators the union-find returns a list
-    m._aut = (gens, np.asarray(ids, dtype=np.int64))
+            undecided &= ~in_orbit
+            continue
+        # if h(0) is a valid image for h in the group found so far and
+        # a(0) = h(c) succeeded, then h^-1 a would map 0 to c; so the
+        # whole current orbit of a failed candidate fails with it
+        close(ruled_out, c)
+        undecided &= ~ruled_out
+        # the closed walk 0 -> x -> r_s x -> 0 along the tree fixes flag 0,
+        # hence every image of 0, and it moves c
+        s, x = defect
+        word = _path_to_root(m, x)[::-1] + [s] + _path_to_root(m, int(m.r[s][x]))
+        rest = np.flatnonzero(undecided)
+        image = rest
+        for t in word:
+            image = m.r[t][image]
+        undecided[rest[image != rest]] = False
+    ids = perms.orbit_ids(m.n, gens)[0] if gens else np.arange(m.n)
+    m._aut = (gens, ids)
     return m._aut
 
 

@@ -9,11 +9,14 @@ automorphism orbit per colour class.  Two maps of 100,000 flags shaped as a
 long path and a long cycle give spanning trees of depth 50,000 and more.
 
 The oracles are the Python walks these kernels replaced: the depth-first
-extension walk, the depth-first orientation 2-colouring, and colour
-refinement ranking whole rows with ``np.unique(..., axis=0)``.
+extension walk, the depth-first orientation 2-colouring, colour refinement
+ranking whole rows with ``np.unique(..., axis=0)``, and the automorphism
+search that tested every candidate in turn after a random stabilizer
+filter, checked on maps of 300 to 10,080 flags.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -110,6 +113,57 @@ def _brute_isomorphic(m1: FlagMap, m2: FlagMap, oriented: bool = False) -> bool:
         color = _dfs_orientation(m1)
         roots = [x for x in roots if color[x] == 0]
     return any(_walk_match(m1, x, m2, 0) is not None for x in roots)
+
+
+def _filtered_aut_generators(m: FlagMap):
+    """Generators of Aut(m) and its orbit ids, by an extension test at every
+    candidate image of flag 0 in increasing order.  Above 256 candidates,
+    8 random stabilizer words (24 random steps, then the tree path back to
+    flag 0) first discard the candidates they move."""
+    colors = flagmaps._stable_colors(m)
+    candidates = np.nonzero(colors == colors[0])[0]
+    rng = random.Random(12345)
+    for _ in range(8 if len(candidates) > 256 else 0):
+        if len(candidates) <= 64:
+            break
+        arr = np.arange(m.n)
+        for _ in range(24):
+            arr = m.r[rng.randrange(3)][arr]
+        u = int(arr[0])
+        while u != 0:
+            arr = m.r[int(m._tree.gen[u])][arr]
+            u = int(m._tree.parent[u])
+        assert arr[0] == 0
+        candidates = candidates[arr[candidates] == candidates]
+    gens, gens_both = [], []
+    in_orbit = np.zeros(m.n, dtype=bool)
+    ruled_out = np.zeros(m.n, dtype=bool)
+
+    def close(mask, start):
+        mask[start] = True
+        frontier = np.nonzero(mask)[0]
+        while gens_both and frontier.size:
+            reached = np.zeros(m.n, dtype=bool)
+            for g in gens_both:
+                reached[g[frontier]] = True
+            frontier = np.flatnonzero(reached & ~mask)
+            mask[frontier] = True
+
+    close(in_orbit, 0)
+    for c in candidates.tolist():
+        if in_orbit[c] or ruled_out[c]:
+            continue
+        g = flagmaps._rooted_match(m, m, c)
+        if g is None:
+            close(ruled_out, c)
+            continue
+        inv = np.empty(m.n, dtype=np.int64)
+        inv[g] = np.arange(m.n)
+        gens.append(g)
+        gens_both += [g, inv]
+        close(in_orbit, 0)
+    ids, _ = perms.orbit_ids(m.n, gens)
+    return gens, np.asarray(ids, dtype=np.int64)
 
 
 # -- random connected flag triples -------------------------------------------------
@@ -385,3 +439,73 @@ def test_long_map_kernels_match_oracles(long_map):
         assert (fast is None) == (slow is None)
         if fast is not None:
             assert np.array_equal(fast, slow)
+
+
+def _aut_oracle_maps():
+    """Maps with more than 256 candidate images of flag 0: S7-chiral and its
+    Petrie dual, sym_class1(6), joins of corpus maps, and random closed maps
+    of 300 to 4,000 flags with their double covers."""
+    s7 = realize.sym_chiral(7).build()
+    yield s7
+    yield s7.petrie()
+    yield realize.sym_class1(6).build()
+    edmonds, mirror = (real.build() for real in realize.edmonds_k8())
+    yield flagmaps.join(edmonds, mirror)
+    S4 = realize.sym_group(4)
+    for w in build.search_epimorphisms("1", S4, keep_all=True).witnesses[:2]:
+        yield flagmaps.join(edmonds, build.build_map(build.EpimorphismSpec("1", S4, w)))
+    rng = np.random.default_rng(21)
+    for n_blocks in (75, 250, 1000):
+        m = None
+        while m is None:
+            m = _random_triple(rng, n_blocks, "closed")
+        yield m
+        cover = _double_cover(m, rng)
+        if cover is not None:
+            yield cover
+
+
+def test_aut_generators_match_filtered_search():
+    sizes = []
+    for m in _aut_oracle_maps():
+        colors = flagmaps._stable_colors(m)
+        assert np.count_nonzero(colors == colors[0]) > 256
+        gens, ids = _filtered_aut_generators(FlagMap(*m.r))
+        fast_gens, fast_ids = flagmaps.aut_generators(m)
+        assert len(fast_gens) == len(gens)
+        assert all(np.array_equal(a, b) for a, b in zip(fast_gens, gens))
+        assert np.array_equal(fast_ids, ids)
+        sizes.append((m.n, len(gens)))
+    assert min(n for n, _ in sizes) >= 300 and max(n for n, _ in sizes) >= 8000
+    assert any(k == 0 for _, k in sizes) and any(k >= 2 for _, k in sizes)
+
+
+def _asymmetric_map(n_blocks: int, seed: int) -> FlagMap:
+    """Closed edge blocks of 4 flags glued by a random fixed-point-free r1:
+    every flag has the same stable colour, and Aut is trivial."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(4 * n_blocks)
+    while True:
+        p = rng.permutation(idx.size)
+        r1 = np.empty(idx.size, dtype=np.int64)
+        r1[p[0::2]], r1[p[1::2]] = p[1::2], p[0::2]
+        try:
+            return FlagMap(idx ^ 1, r1, idx ^ 2)
+        except MapError:
+            continue
+
+
+def test_asymmetric_map_needs_few_extension_tests(monkeypatch):
+    m = _asymmetric_map(5000, 22)
+    assert m.n == 20_000 and len(set(flagmaps._stable_colors(m).tolist())) == 1
+    calls = []
+    extension = flagmaps._extension
+
+    def counted(*args):
+        calls.append(args[2])
+        return extension(*args)
+
+    monkeypatch.setattr(flagmaps, "_extension", counted)
+    assert flagmaps.aut_order(m) == 1
+    assert classes.classify(m) is None
+    assert len(calls) <= 4
