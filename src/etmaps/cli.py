@@ -141,6 +141,8 @@ def cmd_search(args) -> int:
     if args.klass not in build.ORBIT_ROUTE:
         raise ValueError(f"unknown class label {args.klass!r}; the labels are "
                          + ", ".join(classes.LABELS))
+    if args.cap < 1:
+        raise ValueError(f"cap must be a positive number of elements, not {args.cap}")
     G = groups.group_from_json(json.loads(_read(args.group)), cap=args.cap)
     result = build.search_epimorphisms(
         args.klass, G,

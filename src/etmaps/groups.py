@@ -253,7 +253,9 @@ class PermGroup(ChainGroup):
     index), so downstream reports are reproducible byte for byte.  The group
     is held as its (size, degree) element matrix with the sorted
     :func:`perms.row_keys` of its rows; the element tuples and the tuple ->
-    id dict serve the per-element product.
+    id dict serve the per-element product.  Whole id permutations of the
+    group (right multiplication, inversion, conjugation by a normalizing
+    permutation) are matrix gathers turned into ids by :meth:`ids_of`.
     """
 
     def __init__(self, generators: Sequence[Perm], cap: int = 10**7):
@@ -277,11 +279,24 @@ class PermGroup(ChainGroup):
     def product(self, a: int, b: int) -> int:
         return self._index[perms.compose(self._elems[a], self._elems[b])]
 
+    def ids_of(self, rows: np.ndarray) -> np.ndarray:
+        """The ids of the rows of a (size, degree) matrix whose rows are the
+        group's elements in some order, as an int64 array.  Sorting the rows'
+        keys must give the group's sorted keys exactly, which makes the k-th
+        sorted row the element with the k-th key; otherwise ValueError."""
+        if rows.shape != self._matrix.shape:
+            raise ValueError("the rows are not the group's elements")
+        keys = perms.row_keys(rows.astype(self._matrix.dtype, copy=False))
+        order = np.argsort(keys)
+        if not np.array_equal(keys[order], self._sorted_keys):
+            raise ValueError("the rows are not the group's elements")
+        ids = np.empty(self.size, dtype=np.int64)
+        ids[order] = self._key_ids
+        return ids
+
     def right_mult(self, w: int) -> np.ndarray:
-        """One gather on the element matrix, then ids by binary search in
-        the sorted row keys."""
-        products = self._matrix[w][self._matrix]  # row g: apply g, then w
-        return self._key_ids[np.searchsorted(self._sorted_keys, perms.row_keys(products))]
+        """One gather on the element matrix, then :meth:`ids_of`."""
+        return self.ids_of(self._matrix[w][self._matrix])  # row g: apply g, then w
 
     def inverse(self, a: int) -> int:
         cached = self._inv[a]
@@ -638,7 +653,14 @@ def nilpotence_class(G: GroupTable) -> int | None:
 
 
 def inverse_ids(G: GroupTable) -> np.ndarray:
-    """The inverse of every element id, as an array."""
+    """The inverse of every element id, as an int64 array.  On a
+    :class:`PermGroup` every row of the element matrix is inverted by one
+    scatter (row x sends x[i] to i), then :meth:`PermGroup.ids_of`."""
+    if isinstance(G, PermGroup):
+        m = G._matrix
+        inv = np.empty_like(m)
+        np.put_along_axis(inv, m, np.arange(G.degree, dtype=m.dtype)[None], axis=1)
+        return G.ids_of(inv)
     return np.array([G.inverse(x) for x in range(G.size)])
 
 
@@ -693,6 +715,12 @@ def conjugation_orbits(n: int, conj: Sequence[np.ndarray]) -> tuple[np.ndarray, 
 
 
 def involutions(G: GroupTable) -> list[int]:
+    """The ids of the elements of order 2, ascending.  On a :class:`PermGroup`
+    one gather squares every row of the element matrix."""
+    if isinstance(G, PermGroup):
+        m = G._matrix
+        square_is_one = (np.take_along_axis(m, m, axis=1) == np.arange(G.degree)).all(axis=1)
+        return np.flatnonzero(square_is_one)[1:].tolist()  # id 0 is the identity
     return [x for x in range(1, G.size) if G.product(x, x) == 0]
 
 
@@ -786,39 +814,46 @@ def _induced_action(G: PermGroup, aut_gens: Sequence[Perm]) -> np.ndarray:
     """The group of element-id permutations induced on G by conjugation with
     ``aut_gens``, one (|G|,) int32 row per automorphism, identity first.
 
-    Only the generators are conjugated element by element; their rows are
-    closed under composition by gathers.  Two rows are the same automorphism
-    exactly when they agree on ``G.generators``, which is the dedup key."""
+    A generator a conjugates the element matrix M in one gather,
+    ``a[M[:, a^-1]]``, whose ids :meth:`PermGroup.ids_of` reads.  The rows
+    are closed under composition one layer at a time, candidates in
+    generator-major, then frontier, order.  Two rows are the same
+    automorphism exactly when they agree on ``G.generators``, so a candidate
+    is tested for novelty on those columns alone, and only the new ones are
+    gathered in full."""
     n = G.size
-    gen_rows = []
-    for a in aut_gens:
+    m = G._matrix
+    gen_rows = np.empty((len(aut_gens), n), dtype=np.int32)
+    for row, a in zip(gen_rows, aut_gens):
         a = tuple(a)
         if len(a) != G.degree:
             raise ValueError("aut_gens must act on the group's points")
-        a_inv = perms.inverse(a)
+        a_inv = np.array(perms.inverse(a))
         try:
-            gen_rows.append([G.id_of(perms.compose(perms.compose(a_inv, G.elem(x)), a))
-                             for x in range(n)])
+            row[:] = G.ids_of(np.array(a, dtype=m.dtype)[m[:, a_inv]])
         except ValueError as exc:
             raise ValueError("aut_action does not normalize the group") from exc
-    gen_rows = np.array(gen_rows, dtype=np.int32).reshape(-1, n)
-    key_cols = np.array(G.generators)
-    found = [np.arange(n, dtype=np.int32)[None, :]]
-    seen = {tuple(key_cols.tolist())}
-    frontier = found[0]
+    # the closure on the generator columns alone: a row followed by g is
+    # g[row] there too; each new row is recorded as (generator, parent row)
+    frontier = np.array(G.generators, dtype=np.int32)[None]
+    seen = perms.void_keys(frontier)  # sorted keys of every row so far
+    layers = []
+    start = 0  # the frontier's first row
     while len(frontier) and len(gen_rows):
-        layer = []
-        for g in gen_rows:
-            images = g[frontier]  # row f: apply f, then g
-            fresh = []
-            for i, key in enumerate(map(tuple, images[:, key_cols].tolist())):
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(i)
-            layer.append(images[fresh])
-        frontier = np.concatenate(layer)
-        found.append(frontier)
-    return np.concatenate(found)
+        # candidate g * f + i: row i of the frontier, then generator g
+        cand = gen_rows[:, frontier].reshape(-1, frontier.shape[1])
+        fresh, seen = perms.first_new_keys(seen, perms.void_keys(cand))
+        g, i = np.divmod(fresh, len(frontier))
+        layers.append((g, start + i))
+        start += len(frontier)
+        frontier = cand[fresh]
+    acts = np.empty((len(seen), n), dtype=np.int32)
+    acts[0] = np.arange(n)
+    row = 1
+    for g, parent in layers:  # full rows, one gather per layer
+        acts[row:row + len(g)] = gen_rows.ravel()[(g * n)[:, None] + acts[parent]]
+        row += len(g)
+    return acts
 
 
 def simultaneous_inversion_survey(G: GroupTable,
@@ -872,7 +907,7 @@ def simultaneous_inversion_survey(G: GroupTable,
         raise ValueError("aut_gens requires a permutation group, got "
                          f"{type(G).__name__}")
     acts = _induced_action(G, aut_gens)
-    inverts = (acts == np.array([G.inverse(x) for x in range(n)])).astype(np.float32)
+    inverts = (acts == inverse_ids(G)).astype(np.float32)
     # float32 counts are exact below 2**24 automorphisms
     pairmat = (inverts.T @ inverts) > 0
 

@@ -317,13 +317,34 @@ def row_dtype(degree: int) -> type:
 def row_keys(rows: np.ndarray) -> np.ndarray:
     """One sortable key per row of a (k, degree) permutation matrix, equal
     exactly when the rows are.  Up to :data:`PACKED_DEGREE` points a row is
-    packed into a uint64 (point i in bits 4i..4i+3); above it the key is the
-    row's bytes as one void scalar."""
-    if rows.shape[1] <= PACKED_DEGREE:
-        shifts = np.arange(rows.shape[1], dtype=np.uint64) * np.uint64(4)
-        return np.bitwise_or.reduce(rows.astype(np.uint64) << shifts, axis=1)
+    packed into a uint64 (point i in bits 4i..4i+3): the row, zero-padded to
+    16 points, two points per byte, read as one little-endian word.  Above
+    it the key is :func:`void_keys` of the row."""
+    k, degree = rows.shape
+    if degree > PACKED_DEGREE:
+        return void_keys(rows)
+    padded = np.zeros((k, PACKED_DEGREE), dtype=np.uint8)
+    padded[:, :degree] = rows
+    return (padded[:, 0::2] | padded[:, 1::2] << 4).view("<u8").ravel()
+
+
+def void_keys(rows: np.ndarray) -> np.ndarray:
+    """The bytes of each row of a 2-d array as one void scalar: equal exactly
+    when the rows are, and sortable (bytewise)."""
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def first_new_keys(seen: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in ``keys`` of the first occurrence of each key that is
+    not in the sorted array ``seen``, ascending, and ``seen`` with those keys
+    inserted."""
+    by_key = np.argsort(keys, kind="stable")  # equal keys in position order
+    keys = keys[by_key]
+    at = np.searchsorted(seen, keys)
+    new = seen[np.minimum(at, len(seen) - 1)] != keys
+    new[1:] &= keys[1:] != keys[:-1]
+    return np.sort(by_key[new]), np.insert(seen, at[new], keys[new])
 
 
 def bfs_closure(gens: Sequence[Perm]) -> np.ndarray:
@@ -347,14 +368,8 @@ def bfs_closure(gens: Sequence[Perm]) -> np.ndarray:
     while len(layer):
         # compose(x, g)[i] = g[x[i]]: (k, f, degree) gathered, then frontier-major
         cand = gens[:, layer].swapaxes(0, 1).reshape(-1, degree)
-        keys = row_keys(cand)
-        by_key = np.argsort(keys, kind="stable")  # equal keys in candidate order
-        keys = keys[by_key]
-        at = np.searchsorted(seen, keys)
-        new = seen[np.minimum(at, len(seen) - 1)] != keys
-        new[1:] &= keys[1:] != keys[:-1]
-        seen = np.insert(seen, at[new], keys[new])
-        layer = cand[np.sort(by_key[new])]
+        fresh, seen = first_new_keys(seen, row_keys(cand))
+        layer = cand[fresh]
         layers.append(layer)
     return np.concatenate(layers)
 

@@ -691,5 +691,5 @@ SUITES = {
 
 def run_suite(name: str) -> SuiteReport:
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return SUITES[name]()

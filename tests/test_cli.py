@@ -339,6 +339,21 @@ def test_search_limit_below_one_is_input_error(capsys, tmp_path, limit):
                  "--limit", limit], "limit", limit)
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_search_cap_below_one_is_input_error(capsys, tmp_path, cap):
+    (tmp_path / "s3.json").write_text(json.dumps(
+        {"degree": 3, "generators": ["(1,2,3)", "(1,2)"]}))
+    _assert_input_error_in_process(
+        capsys, ["search", "--class", "1", "--group", str(tmp_path / "s3.json"),
+                 "--cap", cap], f"cap must be a positive number of elements, not {cap}")
+
+
+def test_verify_unknown_suite_is_plain_input_error(capsys):
+    # the message unquoted: not str() of a KeyError, which is its repr
+    _assert_input_error_in_process(capsys, ["verify", "nosuch"],
+                                   "error: unknown suite 'nosuch'; choose from")
+
+
 @pytest.mark.parametrize("family, label", [
     ("sym", "1"), ("sym-even", "1"), ("alt", "1"), ("alt", "2ex")])
 @pytest.mark.parametrize("n", ["0", "-1"])

@@ -185,6 +185,25 @@ def test_involutions_count_s4():
     assert len(involutions(G)) == 9
 
 
+_MATRIX_GROUPS = {
+    **{f"S{n}": (lambda n=n: realize.sym_group(n)) for n in range(1, 7)},
+    "A7": lambda: realize.alt_group(7),
+    "L2(8)": lambda: PermGroup(fields.psl2_group_generators(fields.FiniteField(2, 3))),
+    # above 16 points the row keys are void scalars
+    "D18": lambda: PermGroup([tuple((i + 1) % 18 for i in range(18)),
+                              tuple(-i % 18 for i in range(18))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MATRIX_GROUPS))
+def test_inverse_ids_and_involutions_match_element_loops(name):
+    G = _MATRIX_GROUPS[name]()
+    inv = groups.inverse_ids(G)
+    assert inv.dtype == np.int64
+    assert inv.tolist() == [G.inverse(x) for x in range(G.size)]
+    assert involutions(G) == [x for x in range(1, G.size) if G.product(x, x) == 0]
+
+
 def test_index2_characters():
     s4 = realize.sym_group(4)
     lams = index2_characters(s4)

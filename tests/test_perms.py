@@ -1,6 +1,7 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -180,3 +181,21 @@ def test_cycle_string_roundtrip():
 def test_perm_json_roundtrip():
     p = P("(1,3,2)", 5)
     assert perms.perm_from_json(perms.perm_to_json(p)) == p
+
+
+def shift_reduce_row_keys(rows):
+    """The packed row keys as one shift and OR-reduction per row: point i in
+    bits 4i..4i+3 of a uint64."""
+    shifts = np.arange(rows.shape[1], dtype=np.uint64) * np.uint64(4)
+    return np.bitwise_or.reduce(rows.astype(np.uint64) << shifts, axis=1)
+
+
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 12))
+def test_row_keys_match_shift_reduce(seed, count):
+    rng = np.random.default_rng(seed)
+    for degree in range(1, perms.PACKED_DEGREE + 1):
+        rows = rng.permuted(np.tile(np.arange(degree, dtype=perms.row_dtype(degree)),
+                                    (count, 1)), axis=1)
+        keys = perms.row_keys(rows)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == shift_reduce_row_keys(rows).tolist()

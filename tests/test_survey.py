@@ -7,19 +7,23 @@ are bit masks, orbits and transport are a BFS, and the n^2 count is a Python
 loop.  Without ``aut_gens`` the survey scans canonical pairs only;
 ``class_rep_survey`` is the version it replaced, which pairs each class
 leader with every element.  Each pair of versions must give the same report,
-counterexample included.
+counterexample included.  ``python_induced_action`` is the element-by-element
+induced action that ``groups._induced_action`` replaced; the two must give
+equal arrays, rows and their order included.
 """
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import etmaps
 from etmaps import fields, perms, realize
-from etmaps.groups import (DirectProduct, GpefGroup, PermGroup, SurveyReport,
+from etmaps.groups import (DirectProduct, GpefGroup, PermGroup, SurveyReport, _induced_action,
                            hom_extension_exists, simultaneous_inversion_survey)
 from test_closure import python_closure
 from test_table_closure import python_conjugacy_classes
@@ -151,6 +155,69 @@ def test_aut_gens_must_normalize():
     transposition = perms.parse_cycles("(1,2)", G.degree)
     with pytest.raises(ValueError, match="does not normalize"):
         simultaneous_inversion_survey(G, inner_gens(G) + [transposition])
+
+
+def python_induced_action(G, aut_gens):
+    """The induced action as it was built element by element: each generator
+    conjugates every element through ``id_of``, and the closure gathers a
+    full row for every candidate, deduplicated by its tuple on
+    ``G.generators``, candidates in generator-major, then frontier, order."""
+    n = G.size
+    gen_rows = []
+    for a in aut_gens:
+        a = tuple(a)
+        a_inv = perms.inverse(a)
+        gen_rows.append([G.id_of(perms.compose(perms.compose(a_inv, G.elem(x)), a))
+                         for x in range(n)])
+    gen_rows = np.array(gen_rows, dtype=np.int32).reshape(-1, n)
+    key_cols = np.array(G.generators)
+    found = [np.arange(n, dtype=np.int32)[None, :]]
+    seen = {tuple(key_cols.tolist())}
+    frontier = found[0]
+    while len(frontier) and len(gen_rows):
+        layer = []
+        for g in gen_rows:
+            images = g[frontier]  # row f: apply f, then g
+            fresh = []
+            for i, key in enumerate(map(tuple, images[:, key_cols].tolist())):
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(i)
+            layer.append(images[fresh])
+        frontier = np.concatenate(layer)
+        found.append(frontier)
+    return np.concatenate(found)
+
+
+def relabelled(G, aut_gens, seed):
+    """G and ``aut_gens`` conjugated by a random relabelling of the points,
+    with G rebuilt, so that its element ids differ."""
+    pi = tuple(random.Random(seed).sample(range(G.degree), G.degree))
+    pi_inv = perms.inverse(pi)
+
+    def conj(g):
+        return perms.compose(perms.compose(pi_inv, tuple(g)), pi)
+
+    return PermGroup([conj(G.elem(g)) for g in G.generators]), [conj(a) for a in aut_gens]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_induced_action_matches_element_loop(q, seed):
+    G, aut_gens = relabelled(*psl2_case(q, "pgammal"), seed)
+    acts = _induced_action(G, aut_gens)
+    expected = python_induced_action(G, aut_gens)
+    assert acts.dtype == expected.dtype
+    assert np.array_equal(acts, expected)
+
+
+def test_ids_of_refuses_a_repeated_row():
+    G, _ = case("L2(7)-pgammal")
+    rows = G._matrix.copy()
+    assert np.array_equal(G.ids_of(rows), np.arange(G.size))
+    rows[5] = rows[4]
+    with pytest.raises(ValueError, match="not the group's elements"):
+        G.ids_of(rows)
 
 
 def test_aut_gens_must_match_degree():
