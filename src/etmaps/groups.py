@@ -6,7 +6,7 @@ known only by their generators and order (:class:`ChainGroup`, whose ids are
 handed out as elements are met) or enumerated by BFS closure
 (:class:`PermGroup`), the metacyclic p-group families ``G_{p,e,f}`` and
 their C2 extension by the automorphism ``g -> gh, h -> h^-1``, direct
-products, extensions by an involutory automorphism, and quotients.
+products and extensions by an involutory automorphism.
 
 Automorphism questions are never answered by materializing Aut(G); they are
 phrased as extension questions on generating tuples
@@ -505,78 +505,18 @@ class InvolutoryExtension(GroupTable):
         return self.base.label(x) + (" t" if eps else "")
 
 
-class QuotientGroup(GroupTable):
-    """G/N for a verified-normal subgroup N; cosets in order of least member,
-    so the identity coset is id 0."""
-
-    def __init__(self, parent: GroupTable, members: Sequence[int], check: bool = True):
-        mem = sorted(set(members))
-        if check:
-            _check_subgroup(parent, mem)
-            _check_normal(parent, mem)
-        self.parent = parent
-        coset_of = [-1] * parent.size
-        reps: list[int] = []
-        for x in range(parent.size):
-            if coset_of[x] != -1:
-                continue
-            cid = len(reps)
-            reps.append(x)
-            for m in mem:
-                coset_of[parent.product(m, x)] = cid
-        self.coset_of = coset_of
-        self.reps = reps
-        self.size = len(reps)
-        self.generators = sorted({coset_of[g] for g in parent.generators}) or [0]
-
-    def product(self, a: int, b: int) -> int:
-        return self.coset_of[self.parent.product(self.reps[a], self.reps[b])]
-
-    def inverse(self, a: int) -> int:
-        return self.coset_of[self.parent.inverse(self.reps[a])]
-
-    def label(self, a: int) -> str:
-        return self.parent.label(self.reps[a]) + " N"
-
-
 @dataclass(frozen=True)
 class SubgroupSet:
     """A subgroup of a :class:`GroupTable`, with a generating seed kept so the
-    derived series can continue without scanning all member pairs."""
+    derived and lower central series can continue without scanning all
+    member pairs."""
 
-    parent: GroupTable
     members: tuple[int, ...]
     gens: tuple[int, ...]
 
     @property
     def order(self) -> int:
         return len(self.members)
-
-
-def _check_subgroup(G: GroupTable, members: Sequence[int]) -> None:
-    mset = set(members)
-    if 0 not in mset:
-        raise ValueError("subgroup must contain the identity")
-    for a in members:
-        if G.inverse(a) not in mset:
-            raise ValueError("subgroup not closed under inverse")
-        for b in members:
-            if G.product(a, b) not in mset:
-                raise ValueError("subgroup not closed under product")
-
-
-def _check_normal(G: GroupTable, members: Sequence[int]) -> None:
-    mset = set(members)
-    for g in G.generators:
-        for m in members:
-            if G.conjugate(m, g) not in mset:
-                raise ValueError("subgroup is not normal")
-
-
-def center(G: GroupTable) -> list[int]:
-    gens = G.generators
-    return [x for x in range(G.size)
-            if all(G.product(x, g) == G.product(g, x) for g in gens)]
 
 
 def normal_closure(G: GroupTable, seed: Iterable[int],
@@ -602,18 +542,12 @@ def normal_closure(G: GroupTable, seed: Iterable[int],
                     mults.append(G.right_mult(x))
                     _close(members, mults, np.flatnonzero(members))
                     changed = True
-    return SubgroupSet(G, tuple(np.flatnonzero(members).tolist()), tuple(gens))
-
-
-def derived_subgroup(G: GroupTable) -> SubgroupSet:
-    """Normal closure of the commutators of the generators."""
-    seed = [G.commutator(a, b) for a in G.generators for b in G.generators]
-    return normal_closure(G, seed)
+    return SubgroupSet(tuple(np.flatnonzero(members).tolist()), tuple(gens))
 
 
 def derived_series(G: GroupTable) -> list[SubgroupSet]:
     """G >= G' >= G'' >= ... until the series stabilizes."""
-    whole = SubgroupSet(G, tuple(range(G.size)), tuple(G.generators))
+    whole = SubgroupSet(tuple(range(G.size)), tuple(G.generators))
     series = [whole]
     current = whole
     while True:
@@ -635,20 +569,18 @@ def derived_length(G: GroupTable) -> int | None:
     return len(series) - 1
 
 
-def quotient(G: GroupTable, members: Sequence[int]) -> QuotientGroup:
-    return QuotientGroup(G, members)
-
-
 def nilpotence_class(G: GroupTable) -> int | None:
-    """Length of the upper central series, or None if G is not nilpotent."""
-    Q: GroupTable = G
-    c = 0
-    while Q.size > 1:
-        Z = center(Q)
-        if len(Z) == 1:
+    """The length c of the lower central series G = gamma_1 > gamma_2 > ...
+    > gamma_{c+1} = 1, or None if it stalls above 1 (G is not nilpotent).
+    gamma_{i+1} = [gamma_i, G] is the normal closure of the commutators
+    [x, s] of gamma_i's generators x with G's generators s
+    (``docs/decisions.md``)."""
+    order, gens, c = G.size, G.generators, 0
+    while order > 1:
+        nxt = normal_closure(G, [G.commutator(x, s) for x in gens for s in G.generators])
+        if nxt.order == order:
             return None
-        Q = QuotientGroup(Q, Z, check=False)
-        c += 1
+        order, gens, c = nxt.order, nxt.gens, c + 1
     return c
 
 
@@ -1010,40 +942,66 @@ def frobenius_count(ct: CharacterTable, a_class: int, b_class: int,
 
 def index2_characters(G: GroupTable) -> list[list[int]]:
     """All homomorphisms G -> C2 as 0/1 arrays over element ids, the trivial
-    one excluded.  Kernels are exactly the index-2 subgroups."""
-    der = derived_subgroup(G)
-    seed = list(der.gens) + [G.product(g, g) for g in G.generators]
-    K = normal_closure(G, seed)
-    Q = QuotientGroup(G, K.members, check=False)
-    if Q.size == 1:
-        return []
-    # Q is elementary abelian of exponent 2; find a basis greedily.
-    basis: list[int] = []
-    span = {0}
-    for q in range(1, Q.size):
-        if q in span:
+    one excluded.  Kernels are exactly the index-2 subgroups.
+
+    One layered closure over the generators' :meth:`~GroupTable.right_mult`
+    arrays labels every element x with the GF(2) vector c(x), a bit mask of
+    generator parities along a BFS tree path.  The characters do not depend
+    on the generating set, so a generator inside the span of those before it
+    is left out.  The defects c(g) + e_j + c(g s_j) of all edges span the
+    relation space D, and c(x) mod D is the class of x in G/G'G^2.  The
+    characters are listed over the greedy basis of that quotient: scanning
+    ids upward, each id whose class lies outside the span of D and the ids
+    kept so far.  Bit i of a character's index (from 1) is its value on
+    basis element i (``docs/decisions.md``)."""
+    mults: list[np.ndarray] = []
+    label = np.full(G.size, -1, dtype=np.int64)
+    label[0] = 0
+    for s in G.generators:
+        # each generator kept at least doubles the span, so a label needs
+        # at most log2 |G| bits
+        if label[s] >= 0:
             continue
-        basis.append(q)
-        span = set(Q.subgroup(basis))
-        if len(span) == Q.size:
-            break
-    out = []
-    for vec in range(1, 1 << len(basis)):
-        lam_q = [-1] * Q.size
-        lam_q[0] = 0
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for i, b in enumerate(basis):
-                    y = Q.product(x, b)
-                    v = lam_q[x] ^ ((vec >> i) & 1)
-                    if lam_q[y] == -1:
-                        lam_q[y] = v
-                        nxt.append(y)
-            frontier = nxt
-        out.append([lam_q[Q.coset_of[x]] for x in range(G.size)])
-    return out
+        mults.append(G.right_mult(s))
+        frontier = np.flatnonzero(label >= 0)
+        while len(frontier):
+            reached = np.concatenate([m[frontier] for m in mults])
+            bits = np.concatenate([label[frontier] ^ (1 << j) for j in range(len(mults))])
+            fresh = label[reached] < 0
+            frontier, first = np.unique(reached[fresh], return_index=True)
+            label[frontier] = bits[fresh][first]
+
+    # a GF(2) basis of (vector, coordinates over the greedy basis) pairs with
+    # distinct leading bits, largest first; D's vectors have coordinates 0
+    basis: list[tuple[int, int]] = []
+
+    def reduce(v: int) -> tuple[int, int]:
+        coords = 0
+        for b, cb in basis:
+            if v ^ b < v:
+                v, coords = v ^ b, coords ^ cb
+        return v, coords
+
+    def insert(v: int, unit: int) -> bool:
+        v, coords = reduce(v)
+        if v:
+            basis.append((v, coords ^ unit))
+            basis.sort(reverse=True)
+        return v != 0
+
+    # the defects, which span D, each once (sorted; a plain np.unique would
+    # import numpy.ma on its first call, 20 ms)
+    defects = np.sort(np.ravel([label ^ (1 << j) ^ label[m] for j, m in enumerate(mults)]))
+    for d in defects[np.diff(defects, prepend=-1) != 0].tolist():
+        insert(d, 0)
+    values, first, inverse = np.unique(label, return_index=True, return_inverse=True)
+    rank = 0
+    for v in values[np.argsort(first)].tolist():  # in order of least member
+        if insert(v, 1 << rank):
+            rank += 1
+    coords = np.array([reduce(v)[1] for v in values.tolist()])[inverse]
+    parity = np.array([bin(c).count("1") & 1 for c in range(1 << rank)])
+    return [parity[coords & vec].tolist() for vec in range(1, 1 << rank)]
 
 
 # -- JSON loading --------------------------------------------------------------

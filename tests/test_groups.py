@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from etmaps import fields, groups, perms, realize
-from etmaps.groups import (DirectProduct, GpefAlphaGroup, GpefGroup, PermGroup, center,
+from etmaps.groups import (DirectProduct, GpefAlphaGroup, GpefGroup, PermGroup,
                            conjugacy_classes, count_triples_brute,
-                           derived_length, derived_series, derived_subgroup,
+                           derived_length, derived_series,
                            hom_extension_exists, index2_characters, involutions,
-                           nilpotence_class, quotient,
+                           nilpotence_class,
                            simultaneous_inversion_survey, strongly_real)
+from test_quotient_oracle import center, derived_subgroup, quotient
 
 
 def P(s, n):

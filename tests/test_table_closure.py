@@ -16,8 +16,9 @@ import pytest
 
 from etmaps import groups, perms, realize
 from etmaps.groups import (DirectProduct, GpefAlphaGroup, GpefGroup,
-                           InvolutoryExtension, PermGroup, QuotientGroup)
+                           InvolutoryExtension, PermGroup)
 from etmaps.perms import CapExceeded
+from test_quotient_oracle import QuotientGroup
 
 
 def python_subgroup(G, seed, cap=None):
