@@ -431,6 +431,22 @@ def _candidate_domains(label: str, G: GroupTable,
     return domains
 
 
+def _cycle_type_leaders(G: groups.PermGroup, dom: list[int]) -> list[int]:
+    """The first member of ``dom`` of each cycle type, ascending.  A point's
+    cycle length is the least t >= 1 with p^t fixing it, read off ``degree``
+    gathers of the element matrix rows; a row's sorted lengths name its cycle
+    type."""
+    rows = G._matrix[dom]
+    points = np.arange(G.degree, dtype=rows.dtype)
+    lengths = np.zeros(rows.shape, dtype=perms.row_dtype(G.degree + 1))
+    power = rows  # power[x, i] = p_x^t(i)
+    for t in range(1, G.degree + 1):
+        lengths[(power == points) & (lengths == 0)] = t
+        power = np.take_along_axis(rows, power, axis=1)
+    _, first = np.unique(perms.void_keys(np.sort(lengths, axis=1)), return_index=True)
+    return sorted(np.asarray(dom)[first].tolist())
+
+
 def _canonical_tuples(G: GroupTable, domains: list[list[int]], first: list[int],
                       inv: np.ndarray, commute_0_2: bool):
     """Image tuples in lex order: the first image from ``first``, each later
@@ -557,10 +573,7 @@ def search_epimorphisms(label: str, G: GroupTable, *,
         domains = _candidate_domains(shape, G, parity, lam)
         doms = [domains[name] for name in names]
         if up_to_cycle_type:
-            by_type: dict[tuple[int, ...], int] = {}
-            for x in doms[0]:
-                by_type.setdefault(perms.cycle_structure(G.elem(x)), x)
-            first = sorted(by_type.values())
+            first = _cycle_type_leaders(G, doms[0])
         else:
             first = [x for x in doms[0] if class_leaders[x]]
         room = None if wanted is None else wanted - len(witnesses)

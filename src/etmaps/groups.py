@@ -708,7 +708,9 @@ def hom_extension_exists(G: GroupTable, src: Sequence[int], dst: Sequence[int]) 
     On a :class:`ChainGroup` this is decided by stabilizer chains.  The
     diagonal subgroup <(src_i, dst_i)> of G x G, acting on 2 * degree points,
     projects onto G; it is the graph of a homomorphism iff its order is |G|,
-    and that homomorphism is onto iff ``dst`` generates G.  Other groups walk
+    and that homomorphism is onto iff ``dst`` generates G, which needs no
+    chain when every ``src`` element is a ``dst`` element or the inverse of
+    one (every pattern of ``build._FORBIDDEN``).  Other groups walk
     :func:`hom_extension`.
     """
     if not isinstance(G, ChainGroup):
@@ -726,7 +728,9 @@ def hom_extension_exists(G: GroupTable, src: Sequence[int], dst: Sequence[int]) 
     diagonal = [a + tuple(j + n for j in b) for a, b in zip(src_perms, dst_perms)]
     if perms.order_exceeds(diagonal, G.size):
         return False
-    return perms.order_exceeds(dst_perms, half)
+    # <dst> contains <src> = G when each src element is in dst or inverts one
+    covered = set(dst_perms).union(map(perms.inverse, dst_perms))
+    return covered.issuperset(src_perms) or perms.order_exceeds(dst_perms, half)
 
 
 @dataclass

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -381,14 +382,22 @@ class _Level:
 
     __slots__ = ("base", "gens", "orbit", "trans", "pending")
 
-    def __init__(self, base: int, ident: Perm):
+    def __init__(self, base: int, ident: Perm | bytes):
         self.base = base
-        self.gens: list[Perm] = []
+        self.gens: list[Perm | bytes] = []
         self.orbit = [base]
-        self.trans: dict[int, tuple[Perm, Perm]] = {base: (ident, ident)}
+        self.trans: dict[int, tuple[Perm | bytes, Perm | bytes]] = {base: (ident, ident)}
         # (orbit point, generator index) pairs whose Schreier generator is
         # still to be sifted
         self.pending: list[tuple[int, int]] = []
+
+
+BYTE_DEGREE = 256  # up to here a point is one byte, a permutation a bytes table
+_IDENT256 = bytes(range(BYTE_DEGREE))
+
+
+def _byte_inverse(p: bytes) -> bytes:
+    return bytes.maketrans(p, _IDENT256)
 
 
 def _stabilizer_order(gens: Sequence[Perm], bound: int | None) -> int | None:
@@ -398,17 +407,34 @@ def _stabilizer_order(gens: Sequence[Perm], bound: int | None) -> int | None:
     Every Schreier generator is sifted; a nontrivial residue becomes a strong
     generator on the levels it reached, and a new level takes as base point
     the first point the residue moves.  Levels are closed deepest first.
+
+    Up to :data:`BYTE_DEGREE` points every element is a 256-byte translation
+    table, the permutation padded with fixed points, so that composition is
+    ``bytes.translate``, inversion ``bytes.maketrans`` and the identity test
+    one comparison, all in C.  The padding moves no point, so base points,
+    orbits and orders are those of the tuples (``docs/decisions.md``).
+    Above it the elements are tuples under :func:`compose` and
+    :func:`inverse`.
     """
     if bound is not None and bound < 1:
         return None
+    # from tuples: bytes() of an int64 array would read its buffer
     gens = [tuple(g) for g in gens]
     if not gens:
         return 1
-    ident = tuple(range(len(gens[0])))
+    degree = len(gens[0])
+    if any(len(g) != degree for g in gens):
+        raise ValueError("generators of different degrees")
+    if degree <= BYTE_DEGREE:
+        pad = _IDENT256[degree:]
+        gens = [bytes(g) + pad for g in gens]
+        ident, mul, inv = _IDENT256, bytes.translate, _byte_inverse
+    else:
+        ident, mul, inv = tuple(range(degree)), compose, inverse
     levels: list[_Level] = []
     order = 1
 
-    def add_gen(g: Perm, first: int, last: int) -> None:
+    def add_gen(g, first: int, last: int) -> None:
         # g becomes a strong generator of levels first..last; last is one
         # past the deepest level when g fixes every base point
         if last == len(levels):
@@ -416,7 +442,7 @@ def _stabilizer_order(gens: Sequence[Perm], bound: int | None) -> int | None:
         for lv in levels[first:last + 1]:
             k = len(lv.gens)
             lv.gens.append(g)
-            lv.pending.extend((q, k) for q in lv.orbit)
+            lv.pending.extend(zip(lv.orbit, repeat(k)))
 
     for g in gens:
         if g != ident:
@@ -432,21 +458,21 @@ def _stabilizer_order(gens: Sequence[Perm], bound: int | None) -> int | None:
         u = lv.trans[q][0]
         r = s[q]
         if r not in lv.trans:
-            us = compose(u, s)
-            lv.trans[r] = (us, inverse(us))
+            us = mul(u, s)
+            lv.trans[r] = (us, inv(us))
             lv.orbit.append(r)
-            lv.pending.extend((r, i) for i in range(len(lv.gens)))
+            lv.pending.extend(zip(repeat(r), range(len(lv.gens))))
             order = order // (len(lv.orbit) - 1) * len(lv.orbit)
             if bound is not None and order > bound:
                 return None
             continue
-        h = compose(compose(u, s), lv.trans[r][1])
+        h = mul(mul(u, s), lv.trans[r][1])
         j = level + 1
         while h != ident and j < len(levels):
             rep = levels[j].trans.get(h[levels[j].base])
             if rep is None:
                 break
-            h = compose(h, rep[1])
+            h = mul(h, rep[1])
             j += 1
         if h != ident:
             add_gen(h, level + 1, j)

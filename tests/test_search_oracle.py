@@ -227,3 +227,21 @@ def test_canonical_search_matches_full_product(gname, shape, mode):
         # one canonical tuple per orbit of the full product
         assert got.examined == _orbit_count(shape, G, "up_to_cycle_type" in kwargs)
 
+
+def _character_domains(G):
+    """Both sides of each index-2 character."""
+    lams = groups.index2_characters(G)
+    return [[x for x in range(G.size) if lam[x] == side] for lam in lams for side in (0, 1)]
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "S5", "S6", "S7", "S8",
+                                  "A4", "A5", "A6", "A7", "A8"])
+def test_cycle_type_leaders_match_the_loop(name):
+    # the loop over elements that the search ran before is the oracle
+    G = realize.sym_group(int(name[1:])) if name[0] == "S" \
+        else realize.alt_group(int(name[1:]))
+    domains = [list(range(G.size)), [0] + groups.involutions(G), []]
+    domains += _character_domains(G)
+    assert len(domains) == (5 if name[0] == "S" else 3)
+    for dom in domains:
+        assert build._cycle_type_leaders(G, dom) == _cycle_type_reps(G, dom)

@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from etmaps import fields, groups, perms, realize
@@ -37,13 +38,48 @@ def _random_gen_sets(seed: int, count: int, max_degree: int):
         yield [_random_perm(rng, n) for _ in range(rng.choice((2, 3)))]
 
 
+def _embedded(gens, degree):
+    """The same permutations with fixed points appended up to ``degree``."""
+    return [tuple(g) + tuple(range(len(g), degree)) for g in gens]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_order_matches_bfs_closure(seed):
+    # each group also embedded at 256 points, the most the chain runs as
+    # bytes tables, and at 257, the fewest it runs as tuples
     for gens in _random_gen_sets(seed, 150, 8):
         order = len(python_closure(gens))
-        assert perms.group_order(perms.group_spec(gens)) == order, gens
-        for bound in {0, 1, order // 2, order - 1, order, order + 1}:
-            assert perms.order_exceeds(gens, bound) == (order > bound), (gens, bound)
+        for degree in (len(gens[0]), perms.BYTE_DEGREE, perms.BYTE_DEGREE + 1):
+            big = _embedded(gens, degree)
+            assert perms.group_order(perms.group_spec(big)) == order, (gens, degree)
+            for bound in {0, 1, order // 2, order - 1, order, order + 1}:
+                assert perms.order_exceeds(big, bound) == (order > bound), \
+                    (gens, degree, bound)
+
+
+def test_int64_rows_give_the_order_of_tuples():
+    # bytes() of an int64 array would read its 8-byte buffer, not its points
+    for gens in _random_gen_sets(3, 80, 12):
+        order = perms.group_order(perms.group_spec(gens), cap=None)
+        rows = np.array(gens, dtype=np.int64)
+        assert perms._stabilizer_order(list(rows), None) == order, gens
+        assert not perms.order_exceeds(rows, order) and perms.order_exceeds(rows, order - 1)
+
+
+@pytest.mark.parametrize("n", [5, perms.BYTE_DEGREE, 300])
+def test_dihedral_order(n):
+    rotation = tuple(list(range(1, n)) + [0])
+    reflection = tuple((-i) % n for i in range(n))
+    assert perms.group_order(perms.group_spec([rotation, reflection])) == 2 * n
+    assert perms.order_exceeds([rotation, reflection], 2 * n - 1)
+    assert not perms.order_exceeds([rotation, reflection], 2 * n)
+    assert perms.group_order(perms.group_spec([rotation])) == n
+
+
+def test_generators_of_different_degrees_are_refused():
+    # padded to one table size, they would pass for permutations of 256 points
+    with pytest.raises(ValueError):
+        perms.order_exceeds([(1, 0), (0, 2, 1)], 1)
 
 
 def test_group_order_raises_exactly_above_cap():
@@ -129,6 +165,54 @@ def test_hom_extension_exists_matches_cayley_walk(name):
             assert hom_extension_exists(G, src, dst) == want, (src, dst)
             verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def _diagonal_and_dst_chains(G, src, dst):
+    """Whether the diagonal is the graph of a homomorphism, and whether dst
+    generates G: both chains run."""
+    n = G.degree
+    src_perms = [G.elem(x) for x in src]
+    dst_perms = [G.elem(y) for y in dst]
+    diagonal = [a + tuple(j + n for j in b) for a, b in zip(src_perms, dst_perms)]
+    return (not perms.order_exceeds(diagonal, G.size),
+            perms.order_exceeds(dst_perms, G.size // 2))
+
+
+@pytest.mark.parametrize("name", ["S4", "S5", "A5", "L2(7)", "AGL1(8)", "C2xC4"])
+def test_hom_extension_exists_skips_only_implied_generation(name, monkeypatch):
+    # a dst whose elements give back every src element up to inversion
+    # generates G, so only the src and diagonal chains run; any other dst
+    # also runs the dst chain when the diagonal passes
+    G = _extension_groups()[name]
+    rng = random.Random(name)
+    runs = []
+    order_exceeds = perms.order_exceeds
+
+    def counted(gens, bound):
+        runs.append(bound)
+        return order_exceeds(gens, bound)
+
+    seen = set()
+    tried = 0
+    while tried < 60:
+        src = tuple(rng.randrange(G.size) for _ in range(rng.choice((2, 3))))
+        if not GroupTable.generates(G, src):
+            continue
+        tried += 1
+        g = rng.randrange(G.size)
+        covered = tuple(rng.choice((s, G.inverse(s))) for s in rng.sample(src, len(src)))
+        inner = tuple(G.conjugate(s, g) for s in src)
+        for dst in (covered, inner, (0,) * len(src)):
+            hom, onto = _diagonal_and_dst_chains(G, src, dst)
+            runs.clear()
+            monkeypatch.setattr(perms, "order_exceeds", counted)
+            got = hom_extension_exists(G, src, dst)
+            monkeypatch.setattr(perms, "order_exceeds", order_exceeds)
+            assert got == (hom and onto), (src, dst)
+            implied = set(src) <= set(dst) | {G.inverse(y) for y in dst}
+            assert len(runs) == (3 if hom and not implied else 2), (src, dst)
+            seen.add((implied, len(runs)))
+    assert (True, 2) in seen and (False, 3) in seen
 
 
 def test_hom_extension_exists_rejects_bad_input():
