@@ -160,20 +160,6 @@ _FORBIDDEN: dict[str, list[tuple[str, dict[str, tuple[str, int]]]]] = {
     ],
 }
 
-# class reached when exactly the tagged subset of E-conjugations fixes the
-# kernel (class 4 is handled separately: N(4) is not normal in the parent
-# lattice, so only the R2 step is a direct pattern)
-_DROP = {
-    "2": {frozenset(): "2", frozenset({"R0"}): "1"},
-    "2ex": {frozenset(): "2ex", frozenset({"R0"}): "1"},
-    "2Pex": {frozenset(): "2Pex", frozenset({"R2"}): "1"},
-    "3": {frozenset(): "3", frozenset({"R0"}): "2s", frozenset({"R2"}): "2",
-          frozenset({"R0R2"}): "2P"},
-    "5": {frozenset(): "5", frozenset({"R2"}): "2", frozenset({"R0"}): "2sex",
-          frozenset({"R0R2"}): "2Pex"},
-}
-
-
 class SpecError(ValueError):
     pass
 
@@ -284,42 +270,6 @@ def has_forbidden_automorphism(spec: EpimorphismSpec) -> tuple[bool, list[str]]:
     return bool(matched), matched
 
 
-def expected_class(spec: EpimorphismSpec) -> str:
-    """Class of the built map, predicted from the matched forbidden patterns
-    alone (the subgroup lattice between N(T) and the full parent)."""
-    _, matched = has_forbidden_automorphism(spec)
-    label = spec.class_label
-    if label == "1":
-        return "1"
-    if label == "4":
-        if not matched:
-            return "4"
-        return "1" if _class4_second_drop(spec) else "2"
-    mset = frozenset(matched)
-    drop = _DROP[label]
-    if mset in drop:
-        return drop[mset]
-    # two or more E-conjugations fix the kernel, hence all of E does
-    return "1"
-
-
-def _class4_second_drop(spec: EpimorphismSpec) -> bool:
-    """After the degree-2 drop 4 -> 2, does the extended quotient also admit
-    the class-2 forbidden automorphism (drop to class 1)?
-
-    The extension is A' = A x| <t> with t the image of R2; the induced class-2
-    generators are (s1, s t, t).
-    """
-    G = spec.group
-    s1, s2, s = (spec.images[n] for n in GENERATOR_NAMES["4"])
-    alpha = groups.hom_extension(G, (s1, s2, s), (s2, s1, G.inverse(s)))
-    assert alpha is not None
-    ext = groups.InvolutoryExtension(G, alpha)
-    src = (s1 * 2, s * 2 + 1, 1)
-    dst = (s * 2 + 1, s1 * 2, 1)
-    return groups.hom_extension_exists(ext, src, dst)
-
-
 def transform_spec(spec: EpimorphismSpec, ops: str) -> FlagMap:
     """Build the spec and apply the operation string, e.g. "D", "P", "DP"."""
     m = build_map(spec)
@@ -335,14 +285,6 @@ def apply_ops(m: FlagMap, ops: str) -> FlagMap:
         else:
             raise ValueError(f"unknown map operation {op!r}")
     return m
-
-
-def build_in_class(label: str, group: GroupTable, images: dict[str, int]) -> FlagMap:
-    """Build a map in any of the 14 classes: images are for the orbit
-    representative's generators; the route applies D/P afterwards."""
-    shape, ops = ORBIT_ROUTE[label]
-    spec = EpimorphismSpec(shape, group, images)
-    return transform_spec(spec, ops)
 
 
 # -- symbolic soundness of the rewrite tables ----------------------------------

@@ -116,10 +116,6 @@ class FlagMap:
 
     # -- construction helpers --------------------------------------------------
 
-    @classmethod
-    def from_perms(cls, r0: Perm, r1: Perm, r2: Perm) -> "FlagMap":
-        return cls(list(r0), list(r1), list(r2))
-
     def perm(self, i: int) -> Perm:
         return tuple(int(x) for x in self.r[i])
 

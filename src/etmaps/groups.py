@@ -5,8 +5,8 @@ oracle; id 0 is always the identity.  Concrete tables: permutation groups
 known only by their generators and order (:class:`ChainGroup`, whose ids are
 handed out as elements are met) or enumerated by BFS closure
 (:class:`PermGroup`), the metacyclic p-group families ``G_{p,e,f}`` and
-their C2 extension by the automorphism ``g -> gh, h -> h^-1``, direct
-products and extensions by an involutory automorphism.
+their C2 extension by the automorphism ``g -> gh, h -> h^-1``, and direct
+products.
 
 Automorphism questions are never answered by materializing Aut(G); they are
 phrased as extension questions on generating tuples
@@ -15,9 +15,11 @@ permutation groups generation and extension are order tests on stabilizer
 chains (:func:`perms.order_exceeds`).  Other tables close subgroups over
 :meth:`GroupTable.right_mult` id arrays, one layer at a time, and walk the
 Cayley graph for extension (:func:`hom_extension`, which also returns the
-image array).  The one exception is :func:`simultaneous_inversion_survey`
-given permutations that induce Aut(G): it closes their action on element
-ids as an array.
+image array).  That walk remains for the table-only groups, and as the
+tests' oracle for the chain tests and for the class a built map falls
+into.  The one exception is :func:`simultaneous_inversion_survey` given
+permutations that induce Aut(G): it closes their action on element ids as
+an array.
 """
 
 from __future__ import annotations
@@ -470,39 +472,6 @@ class DirectProduct(GroupTable):
     def label(self, a: int) -> str:
         a1, a2 = divmod(a, self.right.size)
         return f"({self.left.label(a1)}, {self.right.label(a2)})"
-
-
-class InvolutoryExtension(GroupTable):
-    """G x| <t> with t^2 = 1 acting on G by a given involutory automorphism.
-
-    Elements (x, eps) with id = x*2 + eps and (x,1)(y,d) = (x a(y), 1+d).
-    """
-
-    def __init__(self, base: GroupTable, alpha: Sequence[int]):
-        if len(alpha) != base.size:
-            raise ValueError("alpha must be a map on all element ids")
-        self.base = base
-        self.alpha = list(alpha)
-        for x in range(base.size):
-            if self.alpha[self.alpha[x]] != x:
-                raise ValueError("alpha is not involutory")
-        self.size = 2 * base.size
-        self.generators = [g * 2 for g in base.generators] + [1]  # (e,1) has id 1
-
-    def product(self, a: int, b: int) -> int:
-        x, eps = divmod(a, 2)
-        y, delta = divmod(b, 2)
-        y2 = self.alpha[y] if eps else y
-        return self.base.product(x, y2) * 2 + ((eps + delta) % 2)
-
-    def inverse(self, a: int) -> int:
-        x, eps = divmod(a, 2)
-        xi = self.base.inverse(x)
-        return (self.alpha[xi] if eps else xi) * 2 + eps
-
-    def label(self, a: int) -> str:
-        x, eps = divmod(a, 2)
-        return self.base.label(x) + (" t" if eps else "")
 
 
 @dataclass(frozen=True)

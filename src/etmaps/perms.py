@@ -8,7 +8,6 @@ converted at the boundary.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
@@ -143,19 +142,6 @@ def parse_cycles(s: str, degree: int) -> Perm:
 def format_cycles(p: Perm) -> str:
     parts = ["(" + ",".join(str(i + 1) for i in c) + ")" for c in cycles(p) if len(c) > 1]
     return "".join(parts) if parts else "()"
-
-
-def perm_to_json(p: Perm) -> dict:
-    return {"degree": len(p), "images": list(p)}
-
-
-def perm_from_json(obj) -> Perm:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    p = check_perm(obj["images"])
-    if len(p) != obj["degree"]:
-        raise ValueError("degree field does not match images length")
-    return p
 
 
 @dataclass(frozen=True)

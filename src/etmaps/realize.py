@@ -350,31 +350,6 @@ def _sym_even_class3(n: int) -> Realization:
 
 # -- alternating groups ---------------------------------------------------------
 
-def alt_standard_gens(n: int, variant: str) -> list[Perm]:
-    """Generator families for A_n: (a) consecutive 3-cycles, (b) 3-cycles
-    through 1, (c) a 3-cycle with an n-cycle (odd n), (d) with an
-    (n-1)-cycle (even n)."""
-    if variant == "a":
-        if n < 3:
-            raise ValueError("needs n >= 3")
-        return [cycle(n, i, i + 1, i + 2) for i in range(1, n - 1)]
-    if variant == "b":
-        if n < 3:
-            raise ValueError("needs n >= 3")
-        return [cycle(n, 1, i, i + 1) for i in range(2, n)]
-    if variant == "c":
-        if n < 3 or n % 2 == 0:
-            raise ValueError("variant c needs odd n >= 3")
-        k = 2
-        return [cycle(n, k, k + 1, k + 2), cycle(n, *range(1, n + 1))]
-    if variant == "d":
-        if n < 4 or n % 2:
-            raise ValueError("variant d needs even n >= 4")
-        k = 3
-        return [cycle(n, 1, k, k + 1), cycle(n, *range(2, n + 1))]
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 def alt_class1_perms(n: int) -> tuple[Perm, Perm, Perm]:
     """Involution triples (r0, r1, r2) with r0 r2 = r2 r0 generating A_n;
     they exist for n = 5 and n >= 9 only."""

@@ -19,9 +19,6 @@ from . import build, classes, fields, flagmaps, groups, perms, realize
 from .build import EpimorphismSpec
 from .realize import Realization, Unrealizable
 
-CLASSIFY_CAP = 300_000  # flags; larger builds are verified at the spec level
-
-
 @dataclass
 class Case:
     id: str
@@ -102,48 +99,41 @@ def _case(cid: str, expected, observed, source: str = "") -> Case:
     return Case(cid, str(expected), str(observed), status, source)
 
 
-def _verify_positive(real: Realization, want_aut: int | None = None) -> tuple[str, str]:
-    """Check a claimed witness: the observed verdict string ("realizable"
-    when it holds) and how it was reached.
+def _verify_positive(real: Realization, want_aut: int,
+                     even: bool = False) -> tuple[str, str]:
+    """Check a claimed witness by the paper's criterion on the spec, with no
+    map built: the observed verdict string ("realizable" when it holds) and
+    how it was reached.
 
-    Up to :data:`CLASSIFY_CAP` flags the map is built and must classify into
-    the claimed class with the right automorphism group order ("witness
-    build").  Above it the paper's criterion decides on the spec, without a
-    map ("exact test, no map built"): the relations hold, the images
-    generate, and no forbidden pattern extends to an automorphism, so the
-    automorphism group of the map is the target group itself."""
-    G = real.spec.group
-    flags = G.size * build._TABLES[real.spec.class_label].transversal
-    if flags > CLASSIFY_CAP:
-        source = "exact test, no map built"
-        violations = build.check_spec(real.spec)
-        if violations:
-            return "; ".join(violations), source
-        if want_aut is not None and G.size != want_aut:
-            return f"|Aut| = {G.size}", source
-        forb, _ = build.has_forbidden_automorphism(real.spec)
-        return ("forbidden automorphism" if forb else "realizable"), source
-    source = "witness build"
-    m = real.build()
-    label = classes.classify(m)
-    if label != real.label:
+    The route must lead from the spec's class to the claimed one, the images
+    must satisfy the class relations and generate G, G must have the claimed
+    order, and no forbidden pattern may extend to an automorphism; then the
+    map's automorphism group is G and its class the claimed one.  With
+    ``even`` the map must also be orientable without boundary: its kernel
+    lies in the even subgroup of the parent group, that is some character
+    G -> C2 takes the value 1 on the images of sign -1 in
+    :data:`build.EVEN_SIGNS` and 0 on those of sign +1."""
+    source = "exact test, no map built"
+    spec, G = real.spec, real.spec.group
+    if build.ORBIT_ROUTE[real.label] != (spec.class_label, real.ops):
+        label = spec.class_label
+        for op in real.ops:
+            label = classes.omega_dual(label) if op == "D" else classes.omega_petrie(label)
         return f"classified {label}", source
-    if want_aut is not None and flagmaps.aut_order(m) != want_aut:
-        return f"|Aut| = {flagmaps.aut_order(m)}", source
+    violations = build.check_spec(spec)
+    if violations:
+        return "; ".join(violations), source
+    if G.size != want_aut:
+        return f"|Aut| = {G.size}", source
+    if build.has_forbidden_automorphism(spec)[0]:
+        return "forbidden automorphism", source
+    signs = build.EVEN_SIGNS[real.label]
+    if even and signs is not None:
+        want = [(spec.images[name], 1 if sign == -1 else 0) for name, sign in signs.items()]
+        if not any(all(lam[x] == v for x, v in want)
+                   for lam in groups.index2_characters(G)):
+            return "not orientable without boundary", source
     return "realizable", source
-
-
-def _verify_even_positive(real: Realization, want_aut: int) -> str:
-    m = real.build()
-    s = flagmaps.summary(m)
-    if not s.orientable_no_boundary:
-        return "not orientable without boundary"
-    label = classes.classify(m)
-    if label != real.label:
-        return f"classified {label}"
-    if flagmaps.aut_order(m) != want_aut:
-        return f"|Aut| = {flagmaps.aut_order(m)}"
-    return "realizable"
 
 
 # -- basic-maps ------------------------------------------------------------------
@@ -463,10 +453,8 @@ def _table3_sym_observed(label: str, n: int, G) -> tuple[str, str]:
     except Unrealizable:
         real = None
     if real is not None:
-        out = _verify_even_positive(real, want_aut=G.size)
-        if out == "realizable":
-            return "evenly realizable", "witness build"
-        return out, "witness build"
+        out, source = _verify_positive(real, want_aut=G.size, even=True)
+        return ("evenly realizable" if out == "realizable" else out), source
     res = build.search_epimorphisms(label, G, even=True, up_to_cycle_type=True)
     if res.proved_empty:
         return "unrealizable", "exhausted (parity-constrained search)"
@@ -478,9 +466,8 @@ def _table3_alt_observed(label: str, n: int) -> tuple[str, str]:
         # these classes are automatically even; reuse the Table 1 machinery
         if _table1_alt_expected(label, n):
             real = alt_witness(label, n)
-            out = _verify_even_positive(real, want_aut=factorial(n) // 2)
-            return (("evenly realizable", "witness build") if out == "realizable"
-                    else (out, "witness build"))
+            out, source = _verify_positive(real, want_aut=factorial(n) // 2, even=True)
+            return ("evenly realizable" if out == "realizable" else out), source
         G = realize.alt_group(n)
         shape, _ = build.ORBIT_ROUTE[label]
         res = build.search_epimorphisms(shape, G, up_to_cycle_type=True)

@@ -17,6 +17,7 @@ import time
 import pytest
 
 from etmaps import build, classes, flagmaps, groups, perms, realize, suites
+from class_oracle import expected_class
 
 
 def _run(name: str, budget_s: float) -> suites.SuiteReport:
@@ -118,7 +119,7 @@ def test_criterion_9b_randomized_specs():
                 found += 1
                 checked += 1
                 assert classes.classify(build.build_map(spec)) == \
-                    build.expected_class(spec)
+                    expected_class(spec)
     print(f"[9b randomized-specs] PASS: {checked} specs cross-validated")
     assert checked >= 200
 

@@ -13,6 +13,7 @@ import pytest
 from etmaps import build, classes, perms, realize, suites
 from etmaps.build import EpimorphismSpec
 from etmaps.groups import ChainGroup, PermGroup
+from class_oracle import expected_class
 
 
 def _on_table(spec: EpimorphismSpec) -> EpimorphismSpec:
@@ -35,7 +36,7 @@ def test_table_free_spec_agrees_with_the_table(n, label):
     assert build.check_spec(spec) == build.check_spec(tspec) == []
     assert build.has_forbidden_automorphism(spec) == \
         build.has_forbidden_automorphism(tspec)
-    assert build.expected_class(spec) == build.expected_class(tspec)
+    assert expected_class(spec) == expected_class(tspec)
     assert classes.classify(real.build()) == label
     # the map built on the table-free group is the map built on the table
     built, on_table = real.build(), build.transform_spec(tspec, real.ops)
@@ -81,11 +82,11 @@ def test_right_mult_answers_in_table_ids():
 
 def test_verify_positive_names_how_it_decided():
     assert suites._verify_positive(suites.alt_witness("2", 5), want_aut=60) == \
-        ("realizable", "witness build")
+        ("realizable", "exact test, no map built")
     assert suites._verify_positive(suites.alt_witness("2", 9),
                                    want_aut=math.factorial(9) // 2) == \
         ("realizable", "exact test, no map built")
-    # above the cap, the exact test still rejects a wrong spec
+    # the exact test rejects a spec whose images do not generate
     real = realize.propagate(realize.alt_class1(10), "2")
     s1, _, s3 = real.spec.image_tuple()
     bad = realize.Realization("2", EpimorphismSpec("2", real.spec.group,
@@ -101,3 +102,12 @@ def test_verify_positive_names_how_it_decided():
     inverted = realize.Realization("2Pex", EpimorphismSpec("2Pex", G, {"X": x, "Y": y}), "")
     assert suites._verify_positive(inverted, want_aut=math.factorial(10) // 2) == \
         ("forbidden automorphism", "exact test, no map built")
+    # a class-2 spec followed by D is a map of class 2*, not 2P
+    wrong_route = realize.Realization("2P", real.spec, "D")
+    assert suites._verify_positive(wrong_route, want_aut=math.factorial(10) // 2) == \
+        ("classified 2s", "exact test, no map built")
+    # A_5 has no index-2 subgroup, so the involutions of a class-2 spec
+    # cannot all reverse orientation
+    assert suites._verify_positive(suites.alt_witness("2", 5), want_aut=60,
+                                   even=True) == \
+        ("not orientable without boundary", "exact test, no map built")

@@ -178,11 +178,6 @@ def test_cycle_string_roundtrip():
         assert parse_cycles(perms.format_cycles(p), n) == p
 
 
-def test_perm_json_roundtrip():
-    p = P("(1,3,2)", 5)
-    assert perms.perm_from_json(perms.perm_to_json(p)) == p
-
-
 def shift_reduce_row_keys(rows):
     """The packed row keys as one shift and OR-reduction per row: point i in
     bits 4i..4i+3 of a uint64."""

@@ -12,6 +12,13 @@ def P(s, n):
     return perms.parse_cycles(s, n)
 
 
+def build_in_class(label, group, images):
+    """Build a map in any of the 14 classes: images are for the orbit
+    representative's generators; the route applies D/P afterwards."""
+    shape, ops = build.ORBIT_ROUTE[label]
+    return build.transform_spec(build.EpimorphismSpec(shape, group, images), ops)
+
+
 def test_sym_class1_small():
     real = realize.sym_class1(3)
     G = real.spec.group
@@ -114,7 +121,7 @@ def test_sym3_even_unrealizable_cells():
         for tup in itertools.product(*domains):
             if not G.generates(tup):
                 continue
-            m = build.build_in_class(label, G, dict(zip(names, tup)))
+            m = build_in_class(label, G, dict(zip(names, tup)))
             if (flagmaps.summary(m).orientable_no_boundary
                     and classes.classify(m) == label
                     and flagmaps.aut_order(m) == G.size):
@@ -143,16 +150,6 @@ def test_sym_even_5P_even_n():
     m = real.build()
     assert classes.classify(m) == "5P"
     assert flagmaps.summary(m).orientable_no_boundary
-
-
-def test_alt_standard_gens():
-    for n, variant in ((5, "a"), (5, "b"), (7, "c"), (6, "d")):
-        gens = realize.alt_standard_gens(n, variant)
-        assert perms.group_order(perms.group_spec(gens)) == math.factorial(n) // 2
-    with pytest.raises(ValueError):
-        realize.alt_standard_gens(6, "c")
-    with pytest.raises(ValueError):
-        realize.alt_standard_gens(7, "d")
 
 
 def test_alt_class1_n5():
