@@ -252,22 +252,24 @@ def build_map(spec: EpimorphismSpec) -> FlagMap:
     return FlagMap(arrays[0], arrays[1], arrays[2])
 
 
-def has_forbidden_automorphism(spec: EpimorphismSpec) -> tuple[bool, list[str]]:
+def has_forbidden_automorphism(spec: EpimorphismSpec) -> tuple[bool, str | None]:
     """Does some forbidden pattern of the class extend to an automorphism of
-    the target?  Returns the matched pattern tags."""
+    the target?  Returns the verdict and the tag of the first pattern, in
+    ``_FORBIDDEN`` order, that extends, or None; later patterns are not
+    tried.  The spec must pass :func:`check_spec`: that its images generate
+    the target is not checked again (:func:`groups.extends_from_generating`)."""
     G = spec.group
     names = GENERATOR_NAMES[spec.class_label]
     src = spec.image_tuple()
-    matched = []
     for tag, pattern in _FORBIDDEN[spec.class_label]:
         dst = []
         for name in names:
             pname, exp = pattern[name]
             x = spec.images[pname]
             dst.append(x if exp == 1 else G.inverse(x))
-        if groups.hom_extension_exists(G, src, tuple(dst)):
-            matched.append(tag)
-    return bool(matched), matched
+        if groups.extends_from_generating(G, src, tuple(dst)):
+            return True, tag
+    return False, None
 
 
 def transform_spec(spec: EpimorphismSpec, ops: str) -> FlagMap:

@@ -280,6 +280,3 @@ def pgammal2_generators(q_field: FiniteField) -> list[Perm]:
         gens.append(tuple(frob))
     return gens
 
-
-def psl2_order(q: int) -> int:
-    return q * (q * q - 1) // (2 if q % 2 else 1)

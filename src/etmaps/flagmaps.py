@@ -359,14 +359,6 @@ def is_regular(m: FlagMap) -> bool:
     return aut_order(m) == m.n
 
 
-def is_edge_transitive(m: FlagMap) -> bool:
-    """Aut transitive on edges: the edge orbits and the Aut orbits together
-    connect all flags."""
-    gens, _ = aut_generators(m)
-    arrays = [m.r[0], m.r[2]] + list(gens)
-    return perms.orbit_ids(m.n, arrays)[1] == 1
-
-
 def quotient_by_aut(m: FlagMap) -> FlagMap:
     """Flags = Aut-orbits with the induced involutions; well defined because
     Aut centralizes the monodromy group."""

@@ -154,21 +154,6 @@ class GroupTable:
             return True
         return len(elems) == self.size
 
-    def spot_check(self, samples: int = 50) -> None:
-        """Associativity on sampled triples, identity and inverse laws."""
-        import random
-        rng = random.Random(0)
-        n = self.size
-        for a in range(n):
-            if self.product(a, 0) != a or self.product(0, a) != a:
-                raise ValueError("identity law fails")
-            if self.product(a, self.inverse(a)) != 0:
-                raise ValueError("inverse law fails")
-        for _ in range(samples):
-            a, b, c = (rng.randrange(n) for _ in range(3))
-            if self.product(self.product(a, b), c) != self.product(a, self.product(b, c)):
-                raise ValueError("associativity fails on a sampled triple")
-
 
 class ChainGroup(GroupTable):
     """A permutation group known only by its generators and its order from a
@@ -625,15 +610,6 @@ def involutions(G: GroupTable) -> list[int]:
     return [x for x in range(1, G.size) if G.product(x, x) == 0]
 
 
-def strongly_real(G: GroupTable, x: int) -> bool:
-    """x is the identity, an involution, or a product of two involutions,
-    i.e. inverted by some involution."""
-    if x == 0 or G.product(x, x) == 0:
-        return True
-    xinv = G.inverse(x)
-    return any(G.conjugate(x, t) == xinv for t in involutions(G))
-
-
 # -- automorphism-extension machinery -----------------------------------------
 
 def hom_extension(G: GroupTable, src: Sequence[int], dst: Sequence[int]) -> list[int] | None:
@@ -672,7 +648,20 @@ def hom_extension(G: GroupTable, src: Sequence[int], dst: Sequence[int]) -> list
 
 def hom_extension_exists(G: GroupTable, src: Sequence[int], dst: Sequence[int]) -> bool:
     """Does src_i -> dst_i extend to an automorphism of G?  ``src`` must
-    generate G.
+    generate G: on a :class:`ChainGroup` that is checked by a stabilizer
+    chain, and ValueError if it does not; then :func:`extends_from_generating`
+    decides."""
+    # order_exceeds rather than G.generates, so that per-layer traces count
+    # only the callers' own generation tests
+    if isinstance(G, ChainGroup) and \
+            not perms.order_exceeds([G.elem(x) for x in src], G.size // 2):
+        raise ValueError("src does not generate the group")
+    return extends_from_generating(G, src, dst)
+
+
+def extends_from_generating(G: GroupTable, src: Sequence[int], dst: Sequence[int]) -> bool:
+    """Does src_i -> dst_i extend to an automorphism of G, for a ``src``
+    that the caller has proved generates G?  That is not checked here.
 
     On a :class:`ChainGroup` this is decided by stabilizer chains.  The
     diagonal subgroup <(src_i, dst_i)> of G x G, acting on 2 * degree points,
@@ -686,20 +675,15 @@ def hom_extension_exists(G: GroupTable, src: Sequence[int], dst: Sequence[int]) 
         return hom_extension(G, src, dst) is not None
     if len(src) != len(dst):
         raise ValueError("src and dst must have equal length")
-    # order_exceeds rather than G.generates, so that per-layer traces count
-    # only the callers' own generation tests
-    half = G.size // 2
-    src_perms = [G.elem(x) for x in src]
-    if not perms.order_exceeds(src_perms, half):
-        raise ValueError("src does not generate the group")
     n = G.degree
+    src_perms = [G.elem(x) for x in src]
     dst_perms = [G.elem(y) for y in dst]
     diagonal = [a + tuple(j + n for j in b) for a, b in zip(src_perms, dst_perms)]
     if perms.order_exceeds(diagonal, G.size):
         return False
     # <dst> contains <src> = G when each src element is in dst or inverts one
     covered = set(dst_perms).union(map(perms.inverse, dst_perms))
-    return covered.issuperset(src_perms) or perms.order_exceeds(dst_perms, half)
+    return covered.issuperset(src_perms) or perms.order_exceeds(dst_perms, G.size // 2)
 
 
 @dataclass
@@ -767,8 +751,8 @@ def simultaneous_inversion_survey(G: GroupTable,
     automorphism inverts both; report counts and the first counterexample
     in row-major order.
 
-    Without ``aut_gens`` each canonical pair is tested with
-    :func:`hom_extension_exists` (covers outer automorphisms).  Generation
+    Without ``aut_gens`` each canonical pair that generates is tested with
+    :func:`extends_from_generating` (covers outer automorphisms).  Generation
     and inversion are invariant under simultaneous conjugation, so the pairs
     are those the exhaustive search scans: x the least member of its
     conjugacy class, y the least member of its orbit under conjugation by
@@ -802,7 +786,7 @@ def simultaneous_inversion_survey(G: GroupTable,
                 if not G.generates((x, y)):
                     continue
                 generating += weights[y]
-                if hom_extension_exists(G, (x, y), (int(inv[x]), int(inv[y]))):
+                if extends_from_generating(G, (x, y), (int(inv[x]), int(inv[y]))):
                     inverted += weights[y]
                 elif counterexample is None:
                     counterexample = (x, y)
@@ -914,8 +898,18 @@ def frobenius_count(ct: CharacterTable, a_class: int, b_class: int,
 # -- index-2 subgroups (even-realization machinery) ---------------------------
 
 def index2_characters(G: GroupTable) -> list[list[int]]:
-    """All homomorphisms G -> C2 as 0/1 arrays over element ids, the trivial
-    one excluded.  Kernels are exactly the index-2 subgroups.
+    """All homomorphisms G -> C2 as 0/1 lists over element ids, the trivial
+    one excluded.  Kernels are exactly the index-2 subgroups.  They are
+    computed once per group and kept on it as tuples; each call returns
+    fresh lists, so no caller can alter the kept copy."""
+    chars = getattr(G, "_index2_characters", None)
+    if chars is None:
+        chars = G._index2_characters = tuple(map(tuple, _index2_characters(G)))
+    return [list(lam) for lam in chars]
+
+
+def _index2_characters(G: GroupTable) -> list[list[int]]:
+    """The characters of :func:`index2_characters`, computed.
 
     One layered closure over the generators' :meth:`~GroupTable.right_mult`
     arrays labels every element x with the GF(2) vector c(x), a bit mask of

@@ -2,8 +2,9 @@
 
 ``expected_class(spec)`` reads the subgroup lattice between N(T) and the full
 parent group off the forbidden patterns that extend to automorphisms of the
-target.  It is the oracle for ``classify(build_map(spec))`` on specs that are
-not witnesses, where the map drops into a covered class.  Class 4 needs a
+target, every one of them listed by ``forbidden_tags(spec)``.  It is the
+oracle for ``classify(build_map(spec))`` on specs that are not witnesses,
+where the map drops into a covered class.  Class 4 needs a
 second step on the extension of the target by the automorphism that the
 first matched pattern induces (:class:`InvolutoryExtension`).
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from etmaps import groups
-from etmaps.build import GENERATOR_NAMES, EpimorphismSpec, has_forbidden_automorphism
+from etmaps.build import _FORBIDDEN, GENERATOR_NAMES, EpimorphismSpec
 from etmaps.groups import GroupTable
 
 
@@ -64,10 +65,33 @@ _DROP = {
 }
 
 
+def forbidden_tags(spec: EpimorphismSpec) -> list[str]:
+    """The tags of every forbidden pattern of the class that extends to an
+    automorphism of the target, in ``_FORBIDDEN`` order.  Each pattern is
+    decided by the Cayley-graph walk ``groups.hom_extension`` on the
+    group's element table, so no stabilizer chain is involved.  The images
+    must generate the target."""
+    G = spec.group
+    T = getattr(G, "table", G)  # a ChainGroup's table has its own ids
+    images = {name: T.id_of(G.elem(x)) if T is not G else x
+              for name, x in spec.images.items()}
+    names = GENERATOR_NAMES[spec.class_label]
+    src = [images[name] for name in names]
+    tags = []
+    for tag, pattern in _FORBIDDEN[spec.class_label]:
+        dst = []
+        for name in names:
+            pname, exp = pattern[name]
+            dst.append(images[pname] if exp == 1 else T.inverse(images[pname]))
+        if groups.hom_extension(T, src, dst) is not None:
+            tags.append(tag)
+    return tags
+
+
 def expected_class(spec: EpimorphismSpec) -> str:
     """Class of the built map, predicted from the matched forbidden patterns
     alone (the subgroup lattice between N(T) and the full parent)."""
-    _, matched = has_forbidden_automorphism(spec)
+    matched = forbidden_tags(spec)
     label = spec.class_label
     if label == "1":
         return "1"

@@ -18,6 +18,7 @@ import pytest
 
 from etmaps import build, classes, flagmaps, groups, perms, realize, suites
 from class_oracle import expected_class
+from oracles import is_edge_transitive
 
 
 def _run(name: str, budget_s: float) -> suites.SuiteReport:
@@ -184,6 +185,6 @@ def test_criterion_9f_edge_orbit_and_aut_invariants():
         for a in auts:
             assert a == ident or all(a[i] != i for i in range(m.n))
         q = flagmaps.quotient_by_aut(m)
-        if flagmaps.is_edge_transitive(m):
+        if is_edge_transitive(m):
             assert q.n in (1, 2, 4)
     print(f"[9f invariants] PASS: {len(corpus)} maps")

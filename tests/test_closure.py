@@ -15,6 +15,7 @@ import pytest
 from etmaps import fields, perms, realize
 from etmaps.groups import PermGroup
 from etmaps.perms import CapExceeded
+from oracles import psl2_order
 
 
 def python_closure(gens):
@@ -68,7 +69,7 @@ def test_symmetric_and_alternating(n):
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
 def test_psl2_grid(q):
-    assert len(assert_same_closure(_psl2(q))) == fields.psl2_order(q)
+    assert len(assert_same_closure(_psl2(q))) == psl2_order(q)
 
 
 def test_agl1_8_and_trivial_groups():
@@ -106,7 +107,7 @@ def test_deep_cyclic_group():
 
 def test_above_packed_degree():
     # L2(19) on the 20 points of the projective line: void row keys
-    assert len(assert_same_closure(_psl2(19))) == fields.psl2_order(19)
+    assert len(assert_same_closure(_psl2(19))) == psl2_order(19)
 
 
 def test_more_than_256_points():

@@ -9,7 +9,7 @@ from etmaps.groups import (DirectProduct, GpefAlphaGroup, GpefGroup, PermGroup,
                            derived_length, derived_series,
                            hom_extension_exists, index2_characters, involutions,
                            nilpotence_class,
-                           simultaneous_inversion_survey, strongly_real)
+                           simultaneous_inversion_survey)
 from test_quotient_oracle import center, derived_subgroup, quotient
 
 
@@ -17,10 +17,33 @@ def P(s, n):
     return perms.parse_cycles(s, n)
 
 
+def spot_check(G, samples: int = 50) -> None:
+    """Identity and inverse laws on every element, associativity on sampled
+    triples."""
+    rng = random.Random(0)
+    n = G.size
+    for a in range(n):
+        assert G.product(a, 0) == a and G.product(0, a) == a, "identity law"
+        assert G.product(a, G.inverse(a)) == 0, "inverse law"
+    for _ in range(samples):
+        a, b, c = (rng.randrange(n) for _ in range(3))
+        assert G.product(G.product(a, b), c) == G.product(a, G.product(b, c)), \
+            "associativity"
+
+
+def strongly_real(G, x: int) -> bool:
+    """x is the identity, an involution, or a product of two involutions,
+    i.e. inverted by some involution."""
+    if x == 0 or G.product(x, x) == 0:
+        return True
+    xinv = G.inverse(x)
+    return any(G.conjugate(x, t) == xinv for t in involutions(G))
+
+
 def test_klein_four_from_permutations():
     G = PermGroup([P("(1,2)", 4), P("(3,4)", 4)])
     assert G.size == 4
-    G.spot_check()
+    spot_check(G)
 
 
 def test_symgps_class1_n4_gives_s4():
@@ -31,7 +54,7 @@ def test_symgps_class1_n4_gives_s4():
 def test_agl18_order_56():
     G = realize.agl1_8_group()[0]
     assert G.size == 56
-    G.spot_check()
+    spot_check(G)
 
 
 def test_gpef_examples():
@@ -55,7 +78,7 @@ def test_alpha_extension_examples():
         GpefAlphaGroup(2)
     A = GpefAlphaGroup(4)
     assert A.size == 512
-    A.spot_check()
+    spot_check(A)
     g, h, alpha = A.generators
     assert A.product(alpha, alpha) == 0
     assert A.conjugate(h, alpha) == A.power(h, 2 ** 4 - 1)
@@ -215,6 +238,22 @@ def test_index2_characters():
     assert index2_characters(realize.alt_group(5)) == []
     v4 = PermGroup([P("(1,2)", 4), P("(3,4)", 4)])
     assert len(index2_characters(v4)) == 3
+
+
+def test_index2_characters_are_computed_once_per_group(monkeypatch):
+    # a fresh group, so that no earlier test has filled its copy
+    gens = [P("(1,2,3,4,5,6)", 6), P("(1,2)", 6)]
+    G = PermGroup(gens)
+    calls = []
+    right_mult = G.right_mult
+    monkeypatch.setattr(G, "right_mult", lambda w: calls.append(w) or right_mult(w))
+    first = index2_characters(G)
+    assert calls and len(first) == 1
+    calls.clear()
+    first[0][0] = 1  # a caller's edit does not reach the kept copy
+    second = index2_characters(G)
+    assert calls == []
+    assert second == index2_characters(PermGroup(gens)) and second[0][0] == 0
 
 
 def test_quotient_requires_normal():

@@ -4,11 +4,14 @@ replaced.
 ``_full_product_search`` is the earlier ``search_epimorphisms``: every tuple
 of the candidate lists in lex order (only the first slot cut to one element
 per cycle type with ``up_to_cycle_type``), filtered by transitivity,
-generation and the forbidden patterns.  The canonical search must return
-the same ``SearchResult`` in every field but ``examined``: the same
-``complete`` and ``proved_empty``, and the same witnesses in the same order.
-With ``keep_all`` it must examine exactly one tuple per conjugation orbit of
-the full product.
+generation and the forbidden patterns, every pattern decided by the
+Cayley-graph walk of ``class_oracle.forbidden_tags``.  The canonical search
+must return the same ``SearchResult`` in every field but ``examined``: the
+same ``complete`` and ``proved_empty``, and the same witnesses in the same
+order.  With ``keep_all`` it must examine exactly one tuple per conjugation
+orbit of the full product.  On every generating tuple the reference meets,
+``build.has_forbidden_automorphism``, which stops at the first pattern that
+extends, must give the verdict and the first tag of ``forbidden_tags``.
 
 Cells: every direct-build shape on S3, S4, A4, A5, S5, L2(7), AGL1(8),
 G_{3,2,1} and D12 (the one group here with more than one index-2 character),
@@ -19,9 +22,9 @@ several characters), and on the symmetric and alternating groups with
 ``up_to_cycle_type``, alone and with ``keep_all``.  In ``even`` mode the
 reference takes its characters from the quotient-group oracle of
 ``test_quotient_oracle.py``, not from the function under test.  The
-reference checks roughly 2,000 to 5,000 tuples a second, so cells whose
+reference checks roughly 1,000 to 5,000 tuples a second, so cells whose
 full product has more than 12,000 tuples are left out to keep the file
-near half a minute: shape 2 on S5 (17,576 tuples),
+near forty seconds: shape 2 on S5 (17,576 tuples),
 shape 3 on A5, S5 and L2(7), shape 4 on A5 (15,360), S5 and L2(7), and
 shape 5 on S5 (14,400) and L2(7) (28,224).
 """
@@ -34,6 +37,7 @@ from etmaps import build, groups, perms, realize
 from etmaps.build import GENERATOR_NAMES, SearchResult
 from etmaps.fields import FiniteField
 from etmaps.groups import PermGroup
+from class_oracle import forbidden_tags
 from test_quotient_oracle import quotient_index2_characters
 
 MAX_PRODUCT = 12_000
@@ -57,6 +61,18 @@ def _cycle_type_reps(G, dom):
     for x in dom:
         by_type.setdefault(perms.cycle_structure(G.elem(x)), x)
     return sorted(by_type.values())
+
+
+_TAGS = {}  # (shape, group) -> {generating tuple: its forbidden_tags}
+
+
+def _tags(shape, G, tup):
+    """``forbidden_tags`` of a generating tuple, once per tuple for the file."""
+    known = _TAGS.setdefault((shape, G), {})
+    if tup not in known:
+        spec = build.EpimorphismSpec(shape, G, dict(zip(GENERATOR_NAMES[shape], tup)))
+        known[tup] = forbidden_tags(spec)
+    return known[tup]
 
 
 def _full_product_search(label, G, *, exhaustive=True, limit=None, even=False,
@@ -90,9 +106,7 @@ def _full_product_search(label, G, *, exhaustive=True, limit=None, even=False,
                 continue
             if not G.generates(tup):
                 continue
-            spec = build.EpimorphismSpec(shape, G, dict(zip(names, tup)))
-            forbidden, _ = build.has_forbidden_automorphism(spec)
-            if forbidden:
+            if _tags(shape, G, tup):
                 continue
             seen.add(tup)
             witnesses.append(dict(zip(names, tup)))
@@ -226,6 +240,22 @@ def test_canonical_search_matches_full_product(gname, shape, mode):
     if mode in ("keep_all", "cycle_type_keep_all"):
         # one canonical tuple per orbit of the full product
         assert got.examined == _orbit_count(shape, G, "up_to_cycle_type" in kwargs)
+
+
+@pytest.mark.parametrize("gname, shape", [
+    pytest.param(gname, shape, id=f"{gname}-{shape}")
+    for gname in GROUPS for shape in GENERATOR_NAMES if (gname, shape) not in SKIPPED])
+def test_first_matching_pattern_agrees_with_every_pattern(gname, shape):
+    # the keep_all reference scans the whole product, so it meets every
+    # generating tuple that a cell of this group and shape visits; the
+    # search's test stops at the first pattern that extends, the oracle
+    # tries them all
+    G = _group(gname)
+    _reference(gname, shape, "keep_all")
+    for tup, tags in _TAGS.get((shape, G), {}).items():
+        spec = build.EpimorphismSpec(shape, G, dict(zip(GENERATOR_NAMES[shape], tup)))
+        assert build.has_forbidden_automorphism(spec) == \
+            (bool(tags), tags[0] if tags else None), tup
 
 
 def _character_domains(G):

@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from etmaps import fields, groups, perms, realize
+from etmaps import build, fields, groups, perms, realize
 from etmaps.groups import GroupTable, PermGroup, hom_extension, hom_extension_exists
 from etmaps.perms import CapExceeded
 from test_closure import python_closure
@@ -233,3 +233,22 @@ def test_hom_extension_on_tables_keeps_the_walk():
     g, h = G.generators
     assert hom_extension_exists(G, (g, h), (g, h))
     assert not hom_extension_exists(G, (g, h), (h, g))
+
+
+def test_search_runs_no_chain_twice(monkeypatch):
+    # the forbidden-pattern test takes the search's generation test as
+    # given, so no chain runs twice on the same generators and bound
+    runs = {}
+    stabilizer_order = perms._stabilizer_order
+
+    def counted(gens, bound):
+        key = (tuple(map(tuple, gens)), bound)
+        runs[key] = runs.get(key, 0) + 1
+        return stabilizer_order(gens, bound)
+
+    monkeypatch.setattr(perms, "_stabilizer_order", counted)
+    for label, G in (("5", realize.sym_group(5)), ("2Pex", realize.alt_group(7))):
+        runs.clear()
+        result = build.search_epimorphisms(label, G, up_to_cycle_type=True)
+        assert result.proved_empty, label
+        assert runs and max(runs.values()) == 1, label
