@@ -19,7 +19,8 @@ image array).  That walk remains for the table-only groups, and as the
 tests' oracle for the chain tests and for the class a built map falls
 into.  The one exception is :func:`simultaneous_inversion_survey` given
 permutations that induce Aut(G): it closes their action on element ids as
-an array.
+an (|A|, |G|) array, and reads inversion at one representative per orbit
+off the coset of its stabilizer that inverts it.
 """
 
 from __future__ import annotations
@@ -708,8 +709,10 @@ def _induced_action(G: PermGroup, aut_gens: Sequence[Perm]) -> np.ndarray:
     are closed under composition one layer at a time, candidates in
     generator-major, then frontier, order.  Two rows are the same
     automorphism exactly when they agree on ``G.generators``, so a candidate
-    is tested for novelty on those columns alone, and only the new ones are
-    gathered in full."""
+    is tested for novelty on those k columns alone, and only the new ones
+    are gathered in full.  The columns are packed into one int64 key, the
+    digits of a base-|G| number, when |G|^k < 2^63, and are one
+    :func:`perms.void_keys` scalar otherwise."""
     n = G.size
     m = G._matrix
     gen_rows = np.empty((len(aut_gens), n), dtype=np.int32)
@@ -722,16 +725,24 @@ def _induced_action(G: PermGroup, aut_gens: Sequence[Perm]) -> np.ndarray:
             row[:] = G.ids_of(np.array(a, dtype=m.dtype)[m[:, a_inv]])
         except ValueError as exc:
             raise ValueError("aut_action does not normalize the group") from exc
+    k = len(G.generators)
+    if n ** k < 2 ** 63:
+        radix = n ** np.arange(k, dtype=np.int64)
+
+        def keys(cols: np.ndarray) -> np.ndarray:
+            return cols.astype(np.int64) @ radix
+    else:
+        keys = perms.void_keys
     # the closure on the generator columns alone: a row followed by g is
     # g[row] there too; each new row is recorded as (generator, parent row)
     frontier = np.array(G.generators, dtype=np.int32)[None]
-    seen = perms.void_keys(frontier)  # sorted keys of every row so far
+    seen = keys(frontier)  # sorted keys of every row so far
     layers = []
     start = 0  # the frontier's first row
     while len(frontier) and len(gen_rows):
         # candidate g * f + i: row i of the frontier, then generator g
-        cand = gen_rows[:, frontier].reshape(-1, frontier.shape[1])
-        fresh, seen = perms.first_new_keys(seen, perms.void_keys(cand))
+        cand = gen_rows[:, frontier].reshape(-1, k)
+        fresh, seen = perms.first_new_keys(seen, keys(cand))
         g, i = np.divmod(fresh, len(frontier))
         layers.append((g, start + i))
         start += len(frontier)
@@ -745,84 +756,94 @@ def _induced_action(G: PermGroup, aut_gens: Sequence[Perm]) -> np.ndarray:
     return acts
 
 
+def _generation_classes(G: GroupTable, x: int, inv: np.ndarray,
+                        moves: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Whether (x, y) generates G, for every y, by one :meth:`generates` per
+    generation class.  ``inv`` holds the inverse of every id, and ``moves``
+    are maps y -> y' of the ids (not necessarily permutations) with
+    <x, y'> = <x, y>.  The classes are the orbits of ``moves`` together with
+    y -> y x, y -> x^-1 y and y -> y^-1, which keep <x, y> since x lies in
+    it.  Returns the least member of y's class for every y, and the verdict
+    for every y, which is that of its class's least member."""
+    right = G.right_mult(x)
+    ids, is_least = conjugation_orbits(G.size, [*moves, right, inv[right[inv]], inv])
+    least = np.flatnonzero(is_least)  # class i's least member is least[i]
+    verdict = np.array([G.generates((x, y)) for y in least.tolist()], dtype=bool)
+    return least[ids], verdict[ids]
+
+
 def simultaneous_inversion_survey(G: GroupTable,
                                   aut_gens: Sequence[Perm] | None = None) -> SurveyReport:
     """For every ordered generating pair (x, y) of G, decide whether some
     automorphism inverts both; report counts and the first counterexample
     in row-major order.
 
-    Without ``aut_gens`` each canonical pair that generates is tested with
-    :func:`extends_from_generating` (covers outer automorphisms).  Generation
-    and inversion are invariant under simultaneous conjugation, so the pairs
-    are those the exhaustive search scans: x the least member of its
-    conjugacy class, y the least member of its orbit under conjugation by
-    C_G(x), weighted by class size times orbit size.  Every member of an
-    orbit of bad pairs is bad, so the least bad pair is canonical.
+    Both branches decide a pair at one representative per orbit of a group
+    of automorphisms, which moves generating pairs to generating pairs and
+    inverted pairs to inverted pairs, and count each decision with its
+    orbit's size.  For a fixed first element x, generation is decided once
+    per generation class of y (:func:`_generation_classes`).  The least bad
+    pair lies at the least representative x with a bad pair, and is its
+    least bad y.
 
-    With ``aut_gens`` (permutations normalizing a :class:`PermGroup` G and
-    inducing all of Aut G, e.g. PGammaL(2,q) over PSL(2,q)) the survey runs
-    on the induced action A, an (|A|, |G|) array of element-id permutations
-    built by :func:`_induced_action`.  (x, y) is inverted iff some row of A
-    sends x to x^-1 and y to y^-1, a count read off one matrix product of the
-    inversion indicators.  Generation is invariant under A: it is decided
-    for (r, y) with r one representative per A-orbit, once per orbit of the
-    stabilizer A_r on y, and carried to (x, .) by a row of A taking r to x.
-    The counts are exact either way.
+    Without ``aut_gens`` x runs over the least member of each conjugacy
+    class, weighted by class size, and the generation classes of y also
+    follow conjugation by C_G(x).  Every automorphism counts, inner ones
+    included, so inversion too is constant on a generation class, and one
+    :func:`extends_from_generating` per generating class decides it (covers
+    outer automorphisms).
+
+    With ``aut_gens`` (permutations normalizing a :class:`PermGroup` G,
+    e.g. PGammaL(2,q) over PSL(2,q)) the automorphisms are the induced
+    action A, an (|A|, |G|) array of element-id permutations built by
+    :func:`_induced_action`.  x runs over the least member r of each
+    A-orbit, weighted by orbit size, and the generation classes of y also
+    follow the stabilizer A_r.  (r, y) is inverted iff some row of the coset
+    of A_r that sends r to r^-1 also sends y to y^-1.
     """
+    if aut_gens is not None and not isinstance(G, PermGroup):
+        raise ValueError("aut_gens requires a permutation group, got "
+                         f"{type(G).__name__}")
     n = G.size
+    inv = inverse_ids(G)
+    ident = np.arange(n)
+    generating = 0
+    inverted = 0
+    counterexample = None
     if aut_gens is None:
-        inv = inverse_ids(G)
-        ident = np.arange(n)
-        generating = 0
-        inverted = 0
-        counterexample = None
         for cls in conjugacy_classes(G):
             x = cls[0]
             cent = conjugation(G, x, inv) == ident
-            orbit_of, leaders = conjugation_orbits(
-                n, conjugation_generators(G, cent, inv))
-            weights = (len(cls) * np.bincount(orbit_of)[orbit_of]).tolist()
-            for y in np.flatnonzero(leaders).tolist():
-                if not G.generates((x, y)):
-                    continue
-                generating += weights[y]
+            class_of, gen = _generation_classes(
+                G, x, inv, conjugation_generators(G, cent, inv))
+            sizes = np.bincount(class_of, minlength=n).tolist()
+            generating += len(cls) * int(gen.sum())
+            for y in np.flatnonzero(gen & (class_of == ident)).tolist():
                 if extends_from_generating(G, (x, y), (int(inv[x]), int(inv[y]))):
-                    inverted += weights[y]
+                    inverted += len(cls) * sizes[y]
                 elif counterexample is None:
                     counterexample = (x, y)
         return SurveyReport(n, n * n, generating, inverted, counterexample)
 
-    if not isinstance(G, PermGroup):
-        raise ValueError("aut_gens requires a permutation group, got "
-                         f"{type(G).__name__}")
     acts = _induced_action(G, aut_gens)
-    inverts = (acts == inverse_ids(G)).astype(np.float32)
-    # float32 counts are exact below 2**24 automorphisms
-    pairmat = (inverts.T @ inverts) > 0
-
-    orbit_of = np.full(n, -1)
-    via = np.zeros(n, dtype=np.int64)  # a row of acts taking the orbit rep to x
-    rows = []  # per orbit rep r: does (r, y) generate, for every y
-    for r in range(n):
-        if orbit_of[r] >= 0:
+    seen = np.zeros(n, dtype=bool)
+    for r in range(n):  # each unseen r is the least member of its A-orbit
+        if seen[r]:
             continue
-        points, first = np.unique(acts[:, r], return_index=True)
-        orbit_of[points] = len(rows)
-        via[points] = first
-        # least point of each orbit of the stabilizer of r (a subgroup, so
+        images = acts[:, r]
+        seen[images] = True
+        fixes = images == r
+        orbit = len(acts) // int(fixes.sum())  # |A| / |A_r|
+        # least point of each orbit of the stabilizer A_r (a subgroup, so
         # its rows hold every image of y)
-        lead = acts[acts[:, r] == r].min(axis=0)
-        verdict = np.zeros(n, dtype=bool)
-        for y in np.flatnonzero(np.bincount(lead, minlength=n)).tolist():
-            verdict[y] = G.generates((r, y))
-        rows.append(verdict[lead])
-    genmat = np.empty((n, n), dtype=bool)
-    genmat[np.arange(n)[:, None], acts[via]] = np.array(rows)[orbit_of]
-
-    bad = genmat & ~pairmat
-    counterexample = divmod(int(bad.argmax()), n) if bad.any() else None
-    return SurveyReport(n, n * n, int(genmat.sum()), int((genmat & pairmat).sum()),
-                        counterexample)
+        _, gen = _generation_classes(G, r, inv, [acts[fixes].min(axis=0)])
+        inverts = (acts[images == inv[r]] == inv).any(axis=0)
+        generating += orbit * int(gen.sum())
+        inverted += orbit * int((gen & inverts).sum())
+        bad = gen & ~inverts
+        if counterexample is None and bad.any():
+            counterexample = (r, int(bad.argmax()))
+    return SurveyReport(n, n * n, generating, inverted, counterexample)
 
 
 # -- triple counting: brute force and the character formula -------------------

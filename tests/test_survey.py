@@ -7,9 +7,11 @@ are bit masks, orbits and transport are a BFS, and the n^2 count is a Python
 loop.  Without ``aut_gens`` the survey scans canonical pairs only;
 ``class_rep_survey`` is the version it replaced, which pairs each class
 leader with every element.  Each pair of versions must give the same report,
-counterexample included.  ``python_induced_action`` is the element-by-element
-induced action that ``groups._induced_action`` replaced; the two must give
-equal arrays, rows and their order included.
+counterexample included.  ``matrix_survey`` is the survey with ``aut_gens``
+as it was before orbit representatives: a (|G|, |G|) generation matrix and
+one matrix product of inversion indicators.  ``python_induced_action`` is the
+element-by-element induced action that ``groups._induced_action`` replaced;
+the two must give equal arrays, rows and their order included.
 """
 
 import os
@@ -23,8 +25,10 @@ import pytest
 
 import etmaps
 from etmaps import fields, perms, realize
-from etmaps.groups import (DirectProduct, GpefGroup, PermGroup, SurveyReport, _induced_action,
-                           hom_extension_exists, simultaneous_inversion_survey)
+from etmaps.groups import (DirectProduct, GpefGroup, PermGroup, SurveyReport,
+                           _generation_classes, _induced_action, conjugacy_classes,
+                           conjugation, conjugation_generators, extends_from_generating,
+                           hom_extension_exists, inverse_ids, simultaneous_inversion_survey)
 from test_closure import python_closure
 from test_table_closure import python_conjugacy_classes
 
@@ -100,6 +104,42 @@ def reference_survey(G, aut_gens):
     return SurveyReport(n, n * n, generating, inverted, counterexample)
 
 
+def matrix_survey(G, aut_gens):
+    """The survey with ``aut_gens`` as whole (|G|, |G|) matrices: (x, y) is
+    inverted iff some row of the induced action A sends x to x^-1 and y to
+    y^-1, read off one float32 product of the inversion indicators.
+    Generation is decided for (r, y) with r the least member of each
+    A-orbit, once per orbit of the stabilizer A_r on y, and carried to
+    (x, .) by a row of A taking r to x."""
+    n = G.size
+    acts = _induced_action(G, aut_gens)
+    inverts = (acts == inverse_ids(G)).astype(np.float32)
+    # float32 counts are exact below 2**24 automorphisms
+    pairmat = (inverts.T @ inverts) > 0
+
+    orbit_of = np.full(n, -1)
+    via = np.zeros(n, dtype=np.int64)  # a row of acts taking the orbit rep to x
+    rows = []  # per orbit rep r: does (r, y) generate, for every y
+    for r in range(n):
+        if orbit_of[r] >= 0:
+            continue
+        points, first = np.unique(acts[:, r], return_index=True)
+        orbit_of[points] = len(rows)
+        via[points] = first
+        lead = acts[acts[:, r] == r].min(axis=0)
+        verdict = np.zeros(n, dtype=bool)
+        for y in np.flatnonzero(np.bincount(lead, minlength=n)).tolist():
+            verdict[y] = G.generates((r, y))
+        rows.append(verdict[lead])
+    genmat = np.empty((n, n), dtype=bool)
+    genmat[np.arange(n)[:, None], acts[via]] = np.array(rows)[orbit_of]
+
+    bad = genmat & ~pairmat
+    counterexample = divmod(int(bad.argmax()), n) if bad.any() else None
+    return SurveyReport(n, n * n, int(genmat.sum()), int((genmat & pairmat).sum()),
+                        counterexample)
+
+
 FIELDS = {5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
 
 
@@ -132,7 +172,81 @@ DIFFERENTIAL += ["S4-inner", "S5-inner", "S6-inner", "A5-sym"]
 @pytest.mark.parametrize("name", DIFFERENTIAL)
 def test_survey_matches_reference(name):
     G, aut_gens = case(name)
-    assert simultaneous_inversion_survey(G, aut_gens) == reference_survey(G, aut_gens)
+    expected = reference_survey(G, aut_gens)
+    assert simultaneous_inversion_survey(G, aut_gens) == expected
+    assert matrix_survey(G, aut_gens) == expected
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_survey_matches_matrix_survey(p):
+    # q <= 9 is in DIFFERENTIAL, where the matrix survey is checked too
+    F = fields.FiniteField(p, 1)
+    G = realize.psl2_perm_group(F)
+    aut_gens = fields.pgammal2_generators(F)
+    assert simultaneous_inversion_survey(G, aut_gens) == matrix_survey(G, aut_gens)
+
+
+def _classes_at_orbit_reps(G, aut_gens):
+    """(r, least member of y's generation class, verdict) for every least
+    member r of an orbit of the induced action, as the survey forms them."""
+    acts = _induced_action(G, aut_gens)
+    inv = inverse_ids(G)
+    seen = np.zeros(G.size, dtype=bool)
+    for r in range(G.size):
+        if not seen[r]:
+            seen[acts[:, r]] = True
+            lead = acts[acts[:, r] == r].min(axis=0)
+            yield (r, *_generation_classes(G, r, inv, [lead]))
+
+
+def _classes_at_class_leaders(G):
+    """The same for the least member x of every conjugacy class, classes
+    following C_G(x) as the survey without ``aut_gens`` forms them."""
+    inv = inverse_ids(G)
+    for cls in conjugacy_classes(G):
+        x = cls[0]
+        cent = conjugation(G, x, inv) == np.arange(G.size)
+        yield (x, *_generation_classes(G, x, inv, conjugation_generators(G, cent, inv)))
+
+
+@pytest.mark.parametrize("name", ["L2(7)-pgammal", "L2(8)-pgammal", "S4", "S5"])
+def test_generation_classes_match_brute_force(name):
+    """Generation of (x, y), tested for every y, agrees with the verdict of
+    y's class, which the survey decides on the class's least member alone.
+    Without ``aut_gens`` the survey also decides inversion once per class;
+    every generating y agrees with its class's least member there too."""
+    if name.startswith("L2"):
+        G, aut_gens = case(name)
+        classes = _classes_at_orbit_reps(G, aut_gens)
+    else:
+        G = realize.sym_group(int(name[1:]))
+        classes = _classes_at_class_leaders(G)
+    inv = inverse_ids(G)
+    for x, class_of, gen in classes:
+        assert (class_of <= np.arange(G.size)).all() and (class_of[class_of] == class_of).all()
+        assert [G.generates((x, y)) for y in range(G.size)] == gen.tolist(), x
+        if not name.startswith("L2"):
+            leader_inverted = {}
+            for y in np.flatnonzero(gen).tolist():
+                verdict = extends_from_generating(G, (x, y), (int(inv[x]), int(inv[y])))
+                assert leader_inverted.setdefault(int(class_of[y]), verdict) == verdict, (x, y)
+
+
+@pytest.mark.parametrize("name, most", [("L2(8)-pgammal", 44), ("S5", 74)])
+def test_survey_runs_one_chain_per_generation_class(monkeypatch, name, most):
+    # before generation classes the survey ran 197 chains on L2(8) with
+    # PGammaL (the matrix survey) and 218 on S5 (one per C_G(x)-orbit)
+    G, aut_gens = case(name) if name.startswith("L2") else (realize.sym_group(5), None)
+    runs = []
+    stabilizer_order = perms._stabilizer_order
+
+    def counted(gens, bound):
+        runs.append(bound)
+        return stabilizer_order(gens, bound)
+
+    monkeypatch.setattr(perms, "_stabilizer_order", counted)
+    simultaneous_inversion_survey(G, aut_gens)
+    assert len(runs) <= most
 
 
 def test_inner_action_misses_outer_inversions():
@@ -211,6 +325,19 @@ def test_induced_action_matches_element_loop(q, seed):
     assert np.array_equal(acts, expected)
 
 
+def test_induced_action_keys_too_wide_to_pack():
+    """S5 given by ten generators: 120^10 > 2^63, so the closure keys its
+    rows by void scalars instead of one int64."""
+    rng = random.Random(0)
+    redundant = [tuple(rng.sample(range(5), 5)) for _ in range(8)]
+    G = PermGroup(inner_gens(realize.sym_group(5)) + redundant)
+    assert len(G.generators) >= 10 and G.size ** len(G.generators) >= 2 ** 63
+    aut_gens = inner_gens(G)
+    acts = _induced_action(G, aut_gens)
+    assert len(acts) == 120
+    assert np.array_equal(acts, python_induced_action(G, aut_gens))
+
+
 def test_ids_of_refuses_a_repeated_row():
     G, _ = case("L2(7)-pgammal")
     rows = G._matrix.copy()
@@ -237,7 +364,7 @@ def test_survey_with_no_aut_gens(cycle):
     generating pairs, none of C3's."""
     G = PermGroup([cycle])
     rep = simultaneous_inversion_survey(G, [])
-    assert rep == reference_survey(G, [tuple(range(len(cycle)))])
+    assert rep == reference_survey(G, [tuple(range(len(cycle)))]) == matrix_survey(G, [])
     assert rep.all_inverted == (len(cycle) == 2)
 
 
