@@ -380,7 +380,7 @@ def _cycle_type_leaders(G: groups.PermGroup, dom: list[int]) -> list[int]:
     cycle length is the least t >= 1 with p^t fixing it, read off ``degree``
     gathers of the element matrix rows; a row's sorted lengths name its cycle
     type."""
-    rows = G._matrix[dom]
+    rows = G.matrix()[dom]
     points = np.arange(G.degree, dtype=rows.dtype)
     lengths = np.zeros(rows.shape, dtype=perms.row_dtype(G.degree + 1))
     power = rows  # power[x, i] = p_x^t(i)
@@ -444,11 +444,9 @@ def _orbit_union(tuples: list[tuple[int, ...]], conj: list[list[int]],
 
 
 def search_epimorphisms(label: str, G: GroupTable, *,
-                        exhaustive: bool = True,
-                        limit: int | None = None,
+                        limit: int | None = 1,
                         even: bool = False,
-                        up_to_cycle_type: bool = False,
-                        keep_all: bool = False) -> SearchResult:
+                        up_to_cycle_type: bool = False) -> SearchResult:
     """Image tuples satisfying the class relations that generate G and extend
     no forbidden pattern of the class, in lex order of element ids.
 
@@ -458,10 +456,10 @@ def search_epimorphisms(label: str, G: GroupTable, *,
     ``up_to_cycle_type`` keeps only tuples whose first image is the least
     element of its cycle type.  That is valid only when conjugation by
     Sym(degree) induces automorphisms of G, so G must be Sym(n) or Alt(n) of
-    its degree, else :class:`SpecError`.  The default returns the first
-    witness (``complete`` is then False); ``keep_all`` returns every one, and
-    ``exhaustive=False`` with a ``limit`` the first ``limit``.  Exhaustive
-    mode with no witnesses is a proof of emptiness.
+    its degree, else :class:`SpecError`.  It returns the first ``limit``
+    witnesses, by default one, or every one when ``limit`` is None;
+    ``complete`` is False when it stopped at the limit.  A search that finds
+    no witness is a proof of emptiness.
 
     What is enumerated: canonical tuples only (McKay 1998).  The first image
     is the least member of its conjugacy class (of its cycle type with
@@ -496,11 +494,6 @@ def search_epimorphisms(label: str, G: GroupTable, *,
             return SearchResult(label, [], 0, True)
     else:
         lams = [None]
-    if not exhaustive:
-        wanted = limit
-    else:
-        wanted = None if keep_all else 1
-
     # a tuple generating an intransitive subgroup cannot generate a
     # transitive permutation target
     transitive = isinstance(G, groups.PermGroup) and perms.is_transitive(
@@ -520,7 +513,7 @@ def search_epimorphisms(label: str, G: GroupTable, *,
             first = _cycle_type_leaders(G, doms[0])
         else:
             first = [x for x in doms[0] if class_leaders[x]]
-        room = None if wanted is None else wanted - len(witnesses)
+        room = None if limit is None else limit - len(witnesses)
         canonical = []
         for tup in _canonical_tuples(G, doms, first, inv, shape == "1"):
             if tup in seen:
@@ -543,6 +536,6 @@ def search_epimorphisms(label: str, G: GroupTable, *,
         for tup in [t for t in found if t not in seen][:room]:
             seen.add(tup)
             witnesses.append(dict(zip(names, tup)))
-        if wanted is not None and len(witnesses) >= wanted:
+        if limit is not None and len(witnesses) >= limit:
             return SearchResult(label, witnesses, examined, False)
     return SearchResult(label, witnesses, examined, True)

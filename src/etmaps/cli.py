@@ -146,11 +146,9 @@ def cmd_search(args) -> int:
     G = groups.group_from_json(json.loads(_read(args.group)), cap=args.cap)
     result = build.search_epimorphisms(
         args.klass, G,
-        exhaustive=args.exhaustive or args.limit is None,
-        limit=args.limit,
+        limit=None if args.keep_all else args.limit,
         even=args.even,
-        up_to_cycle_type=args.up_to_cycle_type,
-        keep_all=args.keep_all)
+        up_to_cycle_type=args.up_to_cycle_type)
     shape, _ = build.ORBIT_ROUTE[args.klass]
     witnesses = [{name: G.element_json(x) for name, x in w.items()}
                  for w in result.witnesses]
@@ -213,12 +211,14 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive epimorphism search")
     p.add_argument("--class", dest="klass", required=True)
     p.add_argument("--group", required=True, help="group JSON file or -")
-    p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--even", action="store_true",
                    help="restrict to orientable boundary-free realizations")
-    p.add_argument("--limit", type=int)
+    how_many = p.add_mutually_exclusive_group()
+    how_many.add_argument("--limit", type=int, default=1,
+                          help="return the first N witnesses (default 1)")
+    how_many.add_argument("--keep-all", action="store_true",
+                          help="return every witness")
     p.add_argument("--up-to-cycle-type", action="store_true")
-    p.add_argument("--keep-all", action="store_true")
     p.add_argument("--cap", type=int, default=10**7)
     p.set_defaults(func=cmd_search)
 

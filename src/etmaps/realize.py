@@ -17,7 +17,7 @@ from math import gcd, isqrt
 from . import build, fields, groups, perms
 from .build import EpimorphismSpec, ORBIT_ROUTE
 from .fields import FiniteField, PSL2Element
-from .groups import ChainGroup, PermGroup
+from .groups import PermGroup
 from .perms import CapExceeded, Perm
 
 
@@ -79,41 +79,43 @@ def _sym_group(n: int) -> PermGroup:
     return PermGroup(gens)
 
 
-def _alt_group(n: int) -> ChainGroup:
+def _alt_group(n: int) -> PermGroup:
     if n <= 2:
-        return ChainGroup([tuple(range(max(n, 1)))])
-    if n == 3:
-        return ChainGroup([cycle(3, 1, 2, 3)])
-    gens = [cycle(n, 1, 2, 3)]
-    gens.append(cycle(n, *range(1, n + 1)) if n % 2
-                else cycle(n, *range(2, n + 1)))
-    return ChainGroup(gens)
+        gens = [tuple(range(max(n, 1)))]
+    elif n == 3:
+        gens = [cycle(3, 1, 2, 3)]
+    else:
+        gens = [cycle(n, 1, 2, 3), cycle(n, *range(1, n + 1)) if n % 2
+                else cycle(n, *range(2, n + 1))]
+    return PermGroup(gens, cap=None)
 
 
-_GROUP_CACHE: dict[tuple[str, int], ChainGroup] = {}
+_GROUP_CACHE: dict[tuple[str, int], PermGroup] = {}
+
+
+def _cached(kind: str, n: int, make) -> PermGroup:
+    key = (kind, n)
+    if key not in _GROUP_CACHE:
+        _GROUP_CACHE[key] = make(n)
+    return _GROUP_CACHE[key]
 
 
 def sym_group(n: int) -> PermGroup:
-    key = ("S", n)
-    if key not in _GROUP_CACHE:
-        _GROUP_CACHE[key] = _sym_group(n)
-    return _GROUP_CACHE[key]
-
-
-def _alt_chain(n: int) -> ChainGroup:
-    """A_n known by its generators only, one per n."""
-    key = ("A", n)
-    if key not in _GROUP_CACHE:
-        _GROUP_CACHE[key] = _alt_group(n)
-    return _GROUP_CACHE[key]
+    return _cached("S", n, _sym_group)
 
 
 def alt_group(n: int) -> PermGroup:
-    """The element table of A_n: that of :func:`_alt_chain`, built once."""
-    return _alt_chain(n).table
+    """A_n, one per n, with no cap: its element table is enumerated by the
+    first array call, so the witnesses at large n need none."""
+    return _cached("A", n, _alt_group)
 
 
-def _ids(G: ChainGroup, *ps: Perm) -> list[int]:
+def psl2_group(q: int) -> PermGroup:
+    """L_2(q) (:func:`psl2_perm_group`), one per q."""
+    return _cached("L", q, lambda q: psl2_perm_group(_field_of(q)))
+
+
+def _ids(G: PermGroup, *ps: Perm) -> list[int]:
     return [G.id_of(p) for p in ps]
 
 
@@ -387,7 +389,7 @@ def alt_class1_perms(n: int) -> tuple[Perm, Perm, Perm]:
 def alt_class1(n: int) -> Realization:
     """Regular map with Aut = A_n; exists for n = 5 and n >= 9 only."""
     r0, r1, r2 = alt_class1_perms(n)
-    G = _alt_chain(n)
+    G = alt_group(n)
     ids = _ids(G, r0, r1, r2)
     return _realization("1", G, dict(zip(("R0", "R1", "R2"), ids)))
 
@@ -409,7 +411,7 @@ def alt_chiral_perms(n: int) -> tuple[Perm, Perm]:
 def alt_chiral(n: int) -> Realization:
     """Class 2Pex with Aut = A_n, n >= 8."""
     x, y = alt_chiral_perms(n)
-    G = _alt_chain(n)
+    G = alt_group(n)
     xi, yi = _ids(G, x, y)
     return _realization("2Pex", G, {"X": xi, "Y": yi})
 
@@ -505,7 +507,7 @@ def psl2_class1(q: int) -> Realization:
     z = PSL2Element(F, ap, bp, bp, dp)
     r0 = x * r1m
     r2 = r1m * z
-    G = psl2_perm_group(F)
+    G = psl2_group(q)
     perms3 = [r0.to_permutation(), r1m.to_permutation(), r2.to_permutation()]
     ids = _ids(G, *perms3)
     real = _realization("1", G, dict(zip(("R0", "R1", "R2"), ids)))
@@ -521,7 +523,7 @@ def psl2_class2_q7() -> Realization:
     s1 = PSL2Element(F, 0, 1, F.neg(1), 0)
     s2 = PSL2Element(F, 0, 2, 3, 0)
     sp = PSL2Element(F, 1, 3, F.neg(3), F.neg(1))
-    G = psl2_perm_group(F)
+    G = psl2_group(7)
     ids = _ids(G, s1.to_permutation(), s2.to_permutation(), sp.to_permutation())
     return _realization("2", G, dict(zip(("S1", "S2", "S3"), ids)))
 

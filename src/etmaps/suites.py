@@ -10,6 +10,7 @@ their provenance: "exhausted" when a search proved emptiness here,
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -309,16 +310,9 @@ def suite_table1_alt() -> SuiteReport:
     return SuiteReport("table1-alt", cases)
 
 
-_PSL_CACHE: dict[int, groups.PermGroup] = {}
-_PGL_GENS: dict[int, list[perms.Perm]] = {}
-
-
-def psl_group(q: int) -> groups.PermGroup:
-    if q not in _PSL_CACHE:
-        F = realize._field_of(q)
-        _PSL_CACHE[q] = realize.psl2_perm_group(F)
-        _PGL_GENS[q] = fields.pgammal2_generators(F)
-    return _PSL_CACHE[q]
+@functools.cache
+def _pgammal2_generators(q: int) -> list[perms.Perm]:
+    return fields.pgammal2_generators(realize._field_of(q))
 
 
 def suite_table1_psl2() -> SuiteReport:
@@ -327,14 +321,14 @@ def suite_table1_psl2() -> SuiteReport:
 
     def survey(q: int) -> groups.SurveyReport:
         if q not in surveys:
-            G = psl_group(q)
-            surveys[q] = groups.simultaneous_inversion_survey(G, _PGL_GENS[q])
+            surveys[q] = groups.simultaneous_inversion_survey(
+                realize.psl2_group(q), _pgammal2_generators(q))
         return surveys[q]
 
     class1_witness: dict[int, Realization] = {}
     class2_witness: dict[int, Realization] = {}
     for q in _PSL2_GRID:
-        G = psl_group(q)
+        G = realize.psl2_group(q)
         for label in classes.LABELS:
             cid = f"L2({q})-{label}"
             expected = "realizable" if _table1_psl2_expected(label, q) else "unrealizable"
@@ -356,7 +350,7 @@ def suite_table1_psl2() -> SuiteReport:
                 elif q in (8, 11, 13):
                     real = realize.psl2_class1(q)
                 else:
-                    res = build.search_epimorphisms("1", G, exhaustive=False, limit=1)
+                    res = build.search_epimorphisms("1", G)
                     real = Realization("1", EpimorphismSpec("1", G, res.witnesses[0]), "")
                 class1_witness[q] = real
                 cases.append(_case(cid, expected,
@@ -371,7 +365,7 @@ def suite_table1_psl2() -> SuiteReport:
                     class1_witness.setdefault(q, base)
                     class2_witness[q] = realize.propagate(base, "2")
                 else:  # q = 9: direct class-2 search
-                    res = build.search_epimorphisms("2", G, exhaustive=False, limit=1)
+                    res = build.search_epimorphisms("2", G)
                     class2_witness[q] = Realization(
                         "2", EpimorphismSpec("2", G, res.witnesses[0]), "")
             base2 = class2_witness[q]
@@ -506,8 +500,8 @@ def suite_a7_2ex() -> SuiteReport:
 def suite_singerman() -> SuiteReport:
     cases = []
     for q in (5, 7, 8, 9, 11, 13):
-        G = psl_group(q)
-        rep = groups.simultaneous_inversion_survey(G, _PGL_GENS[q])
+        rep = groups.simultaneous_inversion_survey(realize.psl2_group(q),
+                                                   _pgammal2_generators(q))
         cases.append(_case(
             f"L2({q})-generating-pairs-inverted", True, rep.all_inverted,
             f"exhausted: {rep.generating_pairs} generating pairs, Aut = PGammaL"))

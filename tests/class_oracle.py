@@ -71,10 +71,8 @@ def forbidden_tags(spec: EpimorphismSpec) -> list[str]:
     decided by the Cayley-graph walk ``groups.hom_extension`` on the
     group's element table, so no stabilizer chain is involved.  The images
     must generate the target."""
-    G = spec.group
-    T = getattr(G, "table", G)  # a ChainGroup's table has its own ids
-    images = {name: T.id_of(G.elem(x)) if T is not G else x
-              for name, x in spec.images.items()}
+    T = spec.group
+    images = spec.images
     names = GENERATOR_NAMES[spec.class_label]
     src = [images[name] for name in names]
     tags = []

@@ -11,12 +11,15 @@ case's source.  The proof and the search evidence are in docs/decisions.md.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import math
 import time
 
 import pytest
 
-from etmaps import build, classes, flagmaps, groups, perms, realize, suites
+from etmaps import build, classes, cli, flagmaps, groups, perms, realize, suites
 from class_oracle import expected_class
 from oracles import is_edge_transitive
 
@@ -34,6 +37,22 @@ def _run(name: str, budget_s: float) -> suites.SuiteReport:
                   f"{c.observed} [{c.source}]")
     assert elapsed < budget_s, f"{name} exceeded its runtime budget"
     return report
+
+
+# The behaviour contract: ``etm verify all`` prints exactly these bytes.  A
+# change that alters a line must say which and why, and update the pin.
+VERIFY_ALL_BYTES = 85_942
+VERIFY_ALL_SHA256 = "4ba81365ad23f3b02d3a196b5296d13ca9e06fd1d34afeeb38d51c83cff82b25"
+
+
+def test_verify_all_stdout_is_the_contract():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["verify", "all"])
+    data = out.getvalue().encode()
+    assert code == 0
+    assert len(data) == VERIFY_ALL_BYTES
+    assert hashlib.sha256(data).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_criterion_1_basic_maps():

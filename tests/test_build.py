@@ -174,7 +174,7 @@ def test_search_up_to_cycle_type_needs_sym_or_alt():
 
 def test_search_s4_class1_nonempty():
     G = realize.sym_group(4)
-    res = search_epimorphisms("1", G, exhaustive=False, limit=3)
+    res = search_epimorphisms("1", G, limit=3)
     assert res.witnesses
     for w in res.witnesses:
         m = build_map(EpimorphismSpec("1", G, w))

@@ -1,25 +1,27 @@
-"""Tests of the table-free permutation group, ``groups.ChainGroup``.
+"""Tests of the permutation group with no cap, ``PermGroup(gens, cap=None)``.
 
-The Table 1 alternating witnesses are specs on a ``ChainGroup``.  The
-reference is the same images over the element table ``realize.alt_group(n)``
-(a ``PermGroup``): every spec-level verdict must agree, and a built map must
-classify into the claimed class.
+The A_n families are one such group per n, ``realize.alt_group(n)``, whose
+ids are handed out as elements are met and whose element table is
+enumerated by the first array call.  The reference is the same images on a
+fresh ``PermGroup`` under the default cap, whose ids are the BFS ids: every
+spec-level verdict must agree, a built map must classify into the claimed
+class, and the two maps must be the same map rooted at flag 0.
 """
 
 import math
 
 import pytest
 
-from etmaps import build, classes, perms, realize, suites
+from etmaps import build, classes, flagmaps, perms, realize, suites
 from etmaps.build import EpimorphismSpec
-from etmaps.groups import ChainGroup, PermGroup
+from etmaps.groups import PermGroup
 from class_oracle import expected_class, forbidden_tags
 
 
-def _on_table(spec: EpimorphismSpec) -> EpimorphismSpec:
-    """The same images over the element table of the spec's group."""
+def _on_fresh_table(spec: EpimorphismSpec) -> EpimorphismSpec:
+    """The same images on a capped group with the spec's generators."""
     G = spec.group
-    T = G.table
+    T = PermGroup([G.elem(g) for g in G.generators])
     return EpimorphismSpec(spec.class_label, T,
                            {name: T.id_of(G.elem(x)) for name, x in spec.images.items()})
 
@@ -30,18 +32,19 @@ def _on_table(spec: EpimorphismSpec) -> EpimorphismSpec:
 def test_table_free_spec_agrees_with_the_table(n, label):
     real = suites.alt_witness(label, n)
     spec = real.spec
-    assert type(spec.group) is ChainGroup
-    assert spec.group.table is realize.alt_group(n)
-    tspec = _on_table(spec)
+    assert spec.group is realize.alt_group(n)
+    tspec = _on_fresh_table(spec)
     assert build.check_spec(spec) == build.check_spec(tspec) == []
     assert build.has_forbidden_automorphism(spec) == \
         build.has_forbidden_automorphism(tspec)
     assert forbidden_tags(spec) == forbidden_tags(tspec)
     assert expected_class(spec) == expected_class(tspec)
-    assert classes.classify(real.build()) == label
-    # the map built on the table-free group is the map built on the table
-    built, on_table = real.build(), build.transform_spec(tspec, real.ops)
-    assert all((a == b).all() for a, b in zip(built.r, on_table.r))
+    built = real.build()
+    assert classes.classify(built) == label
+    # the ids may differ, so the flags may be numbered differently, but flag
+    # 0 is the identity's on both sides and the maps agree from there
+    on_table = build.transform_spec(tspec, real.ops)
+    assert flagmaps._rooted_match(built, on_table, 0) is not None
 
 
 @pytest.mark.parametrize("n", [9, 10, 12])
@@ -49,14 +52,14 @@ def test_every_table1_witness_passes_the_exact_test(n):
     for label in classes.LABELS:
         assert suites._table1_alt_expected(label, n)
         spec = suites.alt_witness(label, n).spec
-        assert type(spec.group) is ChainGroup
+        assert spec.group is realize.alt_group(n)
         assert build.check_spec(spec) == [], label
         assert build.has_forbidden_automorphism(spec) == (False, None), label
 
 
 def test_ids_are_handed_out_as_elements_are_met():
     gens = [realize.cycle(20, 1, 2, 3), realize.cycle(20, *range(2, 21))]
-    G = ChainGroup(gens)
+    G = PermGroup(gens, cap=None)
     assert G.size == math.factorial(20) // 2
     assert G.generators == [1, 2]
     assert G.elem(0) == tuple(range(20))
@@ -69,16 +72,9 @@ def test_ids_are_handed_out_as_elements_are_met():
         G.id_of(realize.involution(20, [(1, 2)]))  # odd
     with pytest.raises(ValueError, match="not in group"):
         G.id_of(tuple(range(19)))
-
-
-def test_right_mult_answers_in_table_ids():
-    G = ChainGroup([realize.cycle(5, 1, 2, 3), realize.cycle(5, 1, 2, 3, 4, 5)])
-    T = G.table
-    assert type(T) is PermGroup and T.size == G.size == 60
-    w = G.product(G.generators[1], G.generators[0])
-    assert (G.right_mult(w) == T.right_mult(T.id_of(G.elem(w)))).all()
-    assert G.to_json() == T.to_json()
-    assert G.label(w) == T.label(T.id_of(G.elem(w)))
+    # an array call needs the element table, which is refused over the cap
+    with pytest.raises(perms.CapExceeded, match="cap of 10000000"):
+        G.right_mult(x)
 
 
 def test_verify_positive_names_how_it_decided():

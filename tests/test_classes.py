@@ -120,7 +120,7 @@ def test_icosahedron_from_a5xc2():
         perms.parse_cycles("(6,7)", 7)])
     assert G.size == 120
     icosa = None
-    for w in build.search_epimorphisms("1", G, keep_all=True).witnesses:
+    for w in build.search_epimorphisms("1", G, limit=None).witnesses:
         r0, r1, r2 = (w[k] for k in ("R0", "R1", "R2"))
         if (G.element_order(G.product(r0, r1)) == 3
                 and G.element_order(G.product(r1, r2)) == 5):

@@ -63,7 +63,7 @@ def test_op_dual_classify_chain(capsys, tmp_path):
     # etm op dual tetra.json | etm classify -  ->  "1"
     from etmaps import build as bld
     G = realize.sym_group(4)
-    w = bld.search_epimorphisms("1", G, exhaustive=False, limit=1).witnesses[0]
+    w = bld.search_epimorphisms("1", G).witnesses[0]
     m = bld.build_map(bld.EpimorphismSpec("1", G, w))
     map_file = tmp_path / "tetra.json"
     map_file.write_text(json.dumps(m.to_json()))
@@ -117,11 +117,31 @@ def test_search_cli(capsys, tmp_path):
     group_file.write_text(json.dumps(
         {"degree": 5, "generators": ["(1,2,3,4,5)", "(1,2)"]}))
     code, out = run_cli(["search", "--class", "2Pex", "--group", str(group_file),
-                         "--exhaustive", "--up-to-cycle-type"], capsys=capsys)
+                         "--up-to-cycle-type"], capsys=capsys)
     assert code == 0
     obj = json.loads(out)
     assert obj["proved_empty"] is True
     assert obj["witnesses"] == []
+
+
+def test_search_limit_and_keep_all(capsys, tmp_path):
+    group_file = tmp_path / "s4.json"
+    group_file.write_text(json.dumps(
+        {"degree": 4, "generators": ["(1,2,3,4)", "(1,2)"]}))
+    argv = ["search", "--class", "1", "--group", str(group_file)]
+    found = {}
+    for how in ([], ["--limit", "3"], ["--keep-all"]):
+        code, out = run_cli(argv + how, capsys=capsys)
+        assert code == 0
+        found[tuple(how)] = json.loads(out)["witnesses"]
+    every = found[("--keep-all",)]
+    assert len(every) > 3
+    assert found[()] == every[:1]
+    assert found[("--limit", "3")] == every[:3]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--limit", "3", "--keep-all"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
 
 
 def test_verify_suite_exit_codes(capsys):

@@ -111,7 +111,7 @@ def test_build_never_shows_a_traceback(spec, raw_text):
 
 @FUZZ
 @given(groups_json, labels, st.lists(st.sampled_from(
-    ["--exhaustive", "--even", "--up-to-cycle-type"]), max_size=2, unique=True),
+    ["--keep-all", "--even", "--up-to-cycle-type"]), max_size=2, unique=True),
     st.one_of(st.none(), st.integers(-2, 3)), st.one_of(st.none(), st.text(max_size=12)))
 def test_search_never_shows_a_traceback(group, label, flags, limit, raw_text):
     argv = ["search", "--class", str(label), "--group", "-"] + flags

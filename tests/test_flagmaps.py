@@ -11,7 +11,7 @@ from oracles import is_edge_transitive
 
 def _tetrahedron():
     G = realize.sym_group(4)
-    for w in build.search_epimorphisms("1", G, keep_all=True).witnesses:
+    for w in build.search_epimorphisms("1", G, limit=None).witnesses:
         r0, r1, r2 = (w[k] for k in ("R0", "R1", "R2"))
         if (G.element_order(G.product(r0, r1)) == 3
                 and G.element_order(G.product(r1, r2)) == 3):

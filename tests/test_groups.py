@@ -209,7 +209,24 @@ def test_involutions_count_s4():
     assert len(involutions(G)) == 9
 
 
+def _met(G, *cycles):
+    """G after meeting ``cycles``, which take the next ids in turn."""
+    first = len(G.generators) + 1
+    met = [G.id_of(P(c, G.degree)) for c in cycles]
+    assert met == list(range(first, first + len(cycles)))
+    return G
+
+
+def _table_free_s5():
+    """S5 with no cap, which has met odd and even elements that are not
+    generators before its first array call: its ids are then in meeting
+    order, not BFS order, and its element table must keep them."""
+    return _met(PermGroup([P("(1,2,3,4,5)", 5), P("(1,2)", 5)], cap=None),
+                "(1,3)", "(1,2,3)", "(2,4)", "(2,3,4,5)")
+
+
 _MATRIX_GROUPS = {
+    "S5-table-free": _table_free_s5,
     **{f"S{n}": (lambda n=n: realize.sym_group(n)) for n in range(1, 7)},
     "A7": lambda: realize.alt_group(7),
     "L2(8)": lambda: PermGroup(fields.psl2_group_generators(fields.FiniteField(2, 3))),
@@ -240,6 +257,18 @@ def test_index2_characters():
     assert len(index2_characters(v4)) == 3
 
 
+def test_table_free_ids_survive_the_element_table():
+    G = _table_free_s5()
+    assert G.right_mult(3)[0] == 3
+    assert groups.inverse_ids(G)[4] == G.id_of(P("(1,3,2)", 5))
+    assert [G.elem(x) for x in range(7)] == [
+        tuple(range(5)), P("(1,2,3,4,5)", 5), P("(1,2)", 5), P("(1,3)", 5),
+        P("(1,2,3)", 5), P("(2,4)", 5), P("(2,3,4,5)", 5)]
+    # the one index-2 character is the sign, on every id
+    (lam,) = index2_characters(G)
+    assert lam == [(1 - perms.sign(G.elem(x))) // 2 for x in range(G.size)]
+
+
 def test_index2_characters_are_computed_once_per_group(monkeypatch):
     # a fresh group, so that no earlier test has filled its copy
     gens = [P("(1,2,3,4,5,6)", 6), P("(1,2)", 6)]
@@ -264,6 +293,7 @@ def test_quotient_requires_normal():
 
 
 _RIGHT_MULT_GROUPS = {
+    "S5-table-free": _table_free_s5,
     "S4": lambda: realize.sym_group(4),
     "A5": lambda: realize.alt_group(5),
     "L2(7)": lambda: PermGroup(fields.psl2_group_generators(fields.FiniteField(7))),
@@ -271,6 +301,8 @@ _RIGHT_MULT_GROUPS = {
     "S8": lambda: realize.sym_group(8),
     # above degree 16 the product loop itself answers
     "S3-on-17": lambda: PermGroup([P("(1,2,3)", 17), P("(1,2)", 17)]),
+    "S3-on-17-table-free": lambda: _met(
+        PermGroup([P("(1,2,3)", 17), P("(1,2)", 17)], cap=None), "(1,3)"),
     "G(3,2,1)": lambda: GpefGroup(3, 2, 1),
     "G(2,5,3)": lambda: GpefGroup(2, 5, 3),
     "alpha-3": lambda: GpefAlphaGroup(3),

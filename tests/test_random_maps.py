@@ -276,7 +276,7 @@ def _corpus() -> list[FlagMap]:
             if again is not None and again.n <= 200:
                 maps.append(again)
     S4 = realize.sym_group(4)
-    witnesses = build.search_epimorphisms("1", S4, keep_all=True).witnesses
+    witnesses = build.search_epimorphisms("1", S4, limit=None).witnesses
     maps += [build.build_map(build.EpimorphismSpec("1", S4, w)) for w in witnesses[:4]]
     maps += [real.build() for real in realize.edmonds_k8()]  # a chiral pair
     return maps
@@ -452,7 +452,7 @@ def _aut_oracle_maps():
     edmonds, mirror = (real.build() for real in realize.edmonds_k8())
     yield flagmaps.join(edmonds, mirror)
     S4 = realize.sym_group(4)
-    for w in build.search_epimorphisms("1", S4, keep_all=True).witnesses[:2]:
+    for w in build.search_epimorphisms("1", S4, limit=None).witnesses[:2]:
         yield flagmaps.join(edmonds, build.build_map(build.EpimorphismSpec("1", S4, w)))
     rng = np.random.default_rng(21)
     for n_blocks in (75, 250, 1000):

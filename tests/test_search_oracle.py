@@ -8,18 +8,18 @@ generation and the forbidden patterns, every pattern decided by the
 Cayley-graph walk of ``class_oracle.forbidden_tags``.  The canonical search
 must return the same ``SearchResult`` in every field but ``examined``: the
 same ``complete`` and ``proved_empty``, and the same witnesses in the same
-order.  With ``keep_all`` it must examine exactly one tuple per conjugation
-orbit of the full product.  On every generating tuple the reference meets,
+order.  With ``limit=None`` (every witness, the ``keep_all`` modes) it must
+examine exactly one tuple per conjugation orbit of the full product.  On every generating tuple the reference meets,
 ``build.has_forbidden_automorphism``, which stops at the first pattern that
 extends, must give the verdict and the first tag of ``forbidden_tags``.
 
 Cells: every direct-build shape on S3, S4, A4, A5, S5, L2(7), AGL1(8),
 G_{3,2,1} and D12 (the one group here with more than one index-2 character),
-in the default mode, with ``keep_all``, with ``exhaustive=False, limit=3``,
+in the default mode (``limit=1``), with ``limit=None``, with ``limit=3``,
 with ``even`` (shape 5 as class 5P, which has signs; 2Pex has none), alone
-and with ``keep_all`` (which compares the order of the witnesses across
+and with ``limit=None`` (which compares the order of the witnesses across
 several characters), and on the symmetric and alternating groups with
-``up_to_cycle_type``, alone and with ``keep_all``.  In ``even`` mode the
+``up_to_cycle_type``, alone and with ``limit=None``.  In ``even`` mode the
 reference takes its characters from the quotient-group oracle of
 ``test_quotient_oracle.py``, not from the function under test.  The
 reference checks roughly 1,000 to 5,000 tuples a second, so cells whose
@@ -75,8 +75,8 @@ def _tags(shape, G, tup):
     return known[tup]
 
 
-def _full_product_search(label, G, *, exhaustive=True, limit=None, even=False,
-                         up_to_cycle_type=False, keep_all=False) -> SearchResult:
+def _full_product_search(label, G, *, limit=1, even=False,
+                         up_to_cycle_type=False) -> SearchResult:
     shape, _ = build.ORBIT_ROUTE[label]
     parity = build.EVEN_SIGNS[label] if even else None
     if even and parity is not None:
@@ -91,7 +91,6 @@ def _full_product_search(label, G, *, exhaustive=True, limit=None, even=False,
     seen = set()
     witnesses = []
     examined = 0
-    complete = True
     for lam in lams:
         domains = build._candidate_domains(shape, G, parity, lam)
         first_reps = None
@@ -110,12 +109,9 @@ def _full_product_search(label, G, *, exhaustive=True, limit=None, even=False,
                 continue
             seen.add(tup)
             witnesses.append(dict(zip(names, tup)))
-            if not exhaustive and limit is not None and len(witnesses) >= limit:
-                complete = False
-                return SearchResult(label, witnesses, examined, complete)
-            if not keep_all and exhaustive and witnesses:
+            if limit is not None and len(witnesses) >= limit:
                 return SearchResult(label, witnesses, examined, False)
-    return SearchResult(label, witnesses, examined, complete)
+    return SearchResult(label, witnesses, examined, True)
 
 
 GROUPS = {
@@ -137,12 +133,12 @@ SKIPPED = {("S5", "2"), ("A5", "3"), ("S5", "3"), ("L2(7)", "3"), ("A5", "4"),
 EVEN_LABEL = {"1": "1", "2": "2", "2ex": "2ex", "3": "3", "4": "4", "5": "5P"}
 MODES = {
     "default": {},
-    "keep_all": {"keep_all": True},
-    "limit3": {"exhaustive": False, "limit": 3},
+    "keep_all": {"limit": None},
+    "limit3": {"limit": 3},
     "even": {"even": True},
-    "even_keep_all": {"even": True, "keep_all": True},
+    "even_keep_all": {"even": True, "limit": None},
     "cycle_type": {"up_to_cycle_type": True},
-    "cycle_type_keep_all": {"up_to_cycle_type": True, "keep_all": True},
+    "cycle_type_keep_all": {"up_to_cycle_type": True, "limit": None},
 }
 _BUILT = {}
 
@@ -215,12 +211,12 @@ _KEEP_ALL = {}
 
 def _reference(gname, label, mode):
     """The full product search in ``mode``.  Where it finds no witness with
-    ``keep_all`` it never returns early, so the default and ``limit`` modes
+    ``limit=None`` it never returns early, so the default and ``limit`` modes
     scan the same tuples to the same result; that one run stands for them."""
     G = _group(gname)
     if mode in ("default", "keep_all", "limit3"):
         if (gname, label) not in _KEEP_ALL:
-            _KEEP_ALL[gname, label] = _full_product_search(label, G, keep_all=True)
+            _KEEP_ALL[gname, label] = _full_product_search(label, G, limit=None)
         every = _KEEP_ALL[gname, label]
         if mode == "keep_all" or not every.witnesses:
             return every
@@ -246,7 +242,7 @@ def test_canonical_search_matches_full_product(gname, shape, mode):
     pytest.param(gname, shape, id=f"{gname}-{shape}")
     for gname in GROUPS for shape in GENERATOR_NAMES if (gname, shape) not in SKIPPED])
 def test_first_matching_pattern_agrees_with_every_pattern(gname, shape):
-    # the keep_all reference scans the whole product, so it meets every
+    # the limit=None reference scans the whole product, so it meets every
     # generating tuple that a cell of this group and shape visits; the
     # search's test stops at the first pattern that extends, the oracle
     # tries them all

@@ -22,7 +22,7 @@ def _corpus() -> list[FlagMap]:
         m = classes.basic_map(label)
         maps += [m, m.dual(), m.petrie()]
     S3 = realize.sym_group(3)
-    for w in build.search_epimorphisms("1", S3, keep_all=True).witnesses:
+    for w in build.search_epimorphisms("1", S3, limit=None).witnesses:
         maps.append(build.build_map(build.EpimorphismSpec("1", S3, w)))
     return maps
 
@@ -135,7 +135,7 @@ def test_dual_and_petrie_commute_with_relabelling(data):
 
 def _tetrahedron() -> FlagMap:
     G = realize.sym_group(4)
-    for w in build.search_epimorphisms("1", G, keep_all=True).witnesses:
+    for w in build.search_epimorphisms("1", G, limit=None).witnesses:
         r0, r1, r2 = (w[k] for k in ("R0", "R1", "R2"))
         if (G.element_order(G.product(r0, r1)) == 3
                 and G.element_order(G.product(r1, r2)) == 3):

@@ -340,7 +340,7 @@ def test_induced_action_keys_too_wide_to_pack():
 
 def test_ids_of_refuses_a_repeated_row():
     G, _ = case("L2(7)-pgammal")
-    rows = G._matrix.copy()
+    rows = G.matrix().copy()
     assert np.array_equal(G.ids_of(rows), np.arange(G.size))
     rows[5] = rows[4]
     with pytest.raises(ValueError, match="not the group's elements"):

@@ -164,13 +164,6 @@ def test_conjugacy_classes_match_element_bfs(name):
     assert groups.conjugacy_classes(G) == python_conjugacy_classes(G)
 
 
-def test_closure_on_a_chain_group_answers_in_table_ids():
-    G = realize._alt_chain(6)
-    T = G.table
-    seed = [G.generators[0]]
-    assert G.subgroup(seed) == python_subgroup(T, [T.id_of(G.elem(s)) for s in seed])
-
-
 def test_large_nilpotent_closure_uses_the_array_products():
     # order 2^17; the element-by-element closure takes seconds here
     A = GpefAlphaGroup(8)
