@@ -249,7 +249,8 @@ def build_map(spec: EpimorphismSpec) -> FlagMap:
             w_elt = _interp(G, spec.images, word)
             mult[word] = G.right_mult(w_elt)
         arrays[i][j::nt] = mult[word] * nt + k
-    return FlagMap(arrays[0], arrays[1], arrays[2])
+    # valid and connected without a check: docs/decisions.md
+    return FlagMap._derived(arrays[0], arrays[1], arrays[2])
 
 
 def has_forbidden_automorphism(spec: EpimorphismSpec) -> tuple[bool, str | None]:

@@ -7,6 +7,7 @@ are {1}, {2,2s,2P}, {2ex,2sex,2Pex}, {3}, {4,4s,4P}, {5,5s,5P}.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import flagmaps, perms
@@ -86,20 +87,25 @@ def covered(label: str) -> tuple[str, ...]:
     return class_info(label).covered
 
 
+@functools.cache
 def basic_map(label: str) -> FlagMap:
-    """The one-edge map N(T): 1, 2 or 4 flags."""
+    """The one-edge map N(T): 1, 2 or 4 flags.  It is built once per label
+    and shared, so its arrays are read-only."""
     if label not in LABELS:
         raise ValueError(f"unknown class label {label!r}")
     if label == "1":
-        return FlagMap([0], [0], [0])
-    if label in _INDEX2_MEMBERS:
+        arrays = [[0], [0], [0]]
+    elif label in _INDEX2_MEMBERS:
         members = _INDEX2_MEMBERS[label]
         swap, ident = [1, 0], [0, 1]
         arrays = [ident if f"R{i}" in members else swap for i in range(3)]
-        return FlagMap(*arrays)
-    r0 = [1, 0, 3, 2]   # (12)(34), 0-indexed
-    r2 = [3, 2, 1, 0]   # (14)(23)
-    return FlagMap(r0, list(_INDEX4_R1[label]), r2)
+    else:
+        # r0 = (12)(34) and r2 = (14)(23), 0-indexed
+        arrays = [[1, 0, 3, 2], list(_INDEX4_R1[label]), [3, 2, 1, 0]]
+    m = FlagMap(*arrays)
+    for a in m.r:
+        a.flags.writeable = False
+    return m
 
 
 def classify(m: FlagMap) -> str | None:

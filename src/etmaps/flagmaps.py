@@ -5,19 +5,23 @@ flags.  Vertices, edges and faces are the orbits of <r1,r2>, <r0,r2> and
 <r0,r1>; the automorphism group is the centralizer of the monodromy group in
 Sym(flags), computed here by color refinement plus exact extension tests.
 
-Every map caches one BFS spanning tree of its flag graph from flag 0, built
-at construction.  The extension walk and the orientation colouring run on it
-layer by layer as array gathers; a failed automorphism test walks its paths
-to build a word fixing flag 0.  Disconnected flag triples are rejected at
-construction (the tree does not reach every flag); ``join`` is the only
-operation that extracts a component, by the same BFS order run layer by
-layer on packed int64 pair keys.
+Every map caches one BFS spanning tree of its flag graph from flag 0.  The
+extension walk and the orientation colouring run on it layer by layer as
+array gathers; a failed automorphism test walks its paths to build a word
+fixing flag 0.  The public constructor checks the involutions and builds the
+tree at once, since a tree that misses some flag is how disconnected triples
+are rejected.  Maps derived from a valid map or spec (dual, Petrie dual,
+quotient, join, ``build.build_map``) skip the checks through
+``FlagMap._derived`` and build their tree on first use; each caller's proof
+of validity is in docs/decisions.md.  ``join`` is the only operation that
+extracts a component, by the same BFS order run layer by layer on packed
+int64 pair keys.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -61,7 +65,7 @@ def _spanning_tree(r: tuple[np.ndarray, ...], n: int) -> _Tree | None:
     reached = 1
     while True:
         # candidates in (frontier position, generator) order
-        cand = images[frontier].ravel()
+        cand = np.take(images, frontier, axis=0).ravel()
         pos = np.flatnonzero(first[cand] == unseen)
         if not pos.size:
             break
@@ -90,7 +94,7 @@ class FlagMap:
     """Immutable: n_flags, the three involution image arrays and the cached
     BFS spanning tree of the flag graph."""
 
-    __slots__ = ("n", "r", "_tree", "_colors", "_aut")
+    __slots__ = ("n", "r", "_tree_memo", "_colors", "_aut", "_summary")
 
     def __init__(self, r0: Sequence[int], r1: Sequence[int], r2: Sequence[int]):
         arrs = []
@@ -108,11 +112,31 @@ class FlagMap:
         tree = _spanning_tree((r0a, r1a, r2a), n)
         if tree is None:
             raise MapError("flag action is not connected")
-        self.n = n
-        self.r = (r0a, r1a, r2a)
-        self._tree = tree
+        self._set((r0a, r1a, r2a), tree)
+
+    def _set(self, r: tuple[np.ndarray, ...], tree: _Tree | None) -> None:
+        self.n = len(r[0])
+        self.r = r
+        self._tree_memo = tree
         self._colors = None
         self._aut = None
+        self._summary = None
+
+    @classmethod
+    def _derived(cls, r0: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> "FlagMap":
+        """The map on int64 arrays that the caller has proved to be three
+        involutions with (r0 r2)^2 = 1 acting transitively on the flags.
+        Nothing is checked, and the tree is built on first use.
+        Only the derivations of docs/decisions.md call this."""
+        m = cls.__new__(cls)
+        m._set((r0, r1, r2), None)
+        return m
+
+    @property
+    def _tree(self) -> _Tree:
+        if self._tree_memo is None:
+            self._tree_memo = _spanning_tree(self.r, self.n)
+        return self._tree_memo
 
     # -- construction helpers --------------------------------------------------
 
@@ -156,14 +180,18 @@ class FlagMap:
     # -- operations -------------------------------------------------------------
 
     def dual(self) -> "FlagMap":
-        return FlagMap(self.r[2], self.r[1], self.r[0])
+        d = FlagMap._derived(self.r[2], self.r[1], self.r[0])
+        s = self._summary
+        if s is not None:
+            d._summary = replace(s, V=s.F, F=s.V)
+        return d
 
     def petrie(self) -> "FlagMap":
         r0, r1, r2 = self.r
-        return FlagMap(r0[r2], r1, r2)
+        return FlagMap._derived(r0[r2], r1, r2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MapSummary:
     flags: int
     V: int
@@ -186,6 +214,10 @@ class MapSummary:
 
 
 def summary(m: FlagMap) -> MapSummary:
+    """V, E, F, Euler characteristic, boundary, orientability, genus and free
+    edges; computed once per map and shared with its dual."""
+    if m._summary is not None:
+        return m._summary
     r0, r1, r2 = m.r
     _, V = perms.orbit_ids(m.n, [r1, r2])
     edge_ids, E = perms.orbit_ids(m.n, [r0, r2])
@@ -201,7 +233,9 @@ def summary(m: FlagMap) -> MapSummary:
             genus = ("orientable", (2 - chi) // 2)
         else:
             genus = ("non_orientable", 2 - chi)
-    return MapSummary(m.n, V, E, F, chi, has_boundary, orientable, genus, free_edges)
+    m._summary = MapSummary(m.n, V, E, F, chi, has_boundary, orientable, genus,
+                            free_edges)
+    return m._summary
 
 
 # -- automorphisms -------------------------------------------------------------
@@ -371,7 +405,7 @@ def quotient_by_aut(m: FlagMap) -> FlagMap:
         # well defined iff r_i maps orbits onto orbits at every flag
         if not np.array_equal(orbit_ids[arr], img[orbit_ids]):
             raise MapError("automorphism orbits not compatible with monodromy")
-    return FlagMap(new_r[0], new_r[1], new_r[2])
+    return FlagMap._derived(new_r[0], new_r[1], new_r[2])
 
 
 # -- isomorphism and join ------------------------------------------------------
@@ -438,8 +472,7 @@ def join(m1: FlagMap, m2: FlagMap) -> FlagMap:
     in layer L-1, L or L+1: the new keys are found by sorting the candidates
     with the keys of the last two layers alone, and no visited array over
     all n1 * n2 pairs is needed.  Each r_i permutes the component's keys, so
-    its image array follows from sorting the candidate keys once at the end.
-    """
+    its image array follows from sorting the candidate keys once at the end.    """
     n2 = m2.n
     images1 = np.stack(m1.r, axis=1)  # row x: r0[x], r1[x], r2[x]
     images2 = np.stack(m2.r, axis=1)
@@ -467,4 +500,4 @@ def join(m1: FlagMap, m2: FlagMap) -> FlagMap:
     # the j-th least image key under r_i is the j-th least flag key
     for img, keys in zip(new_r, np.concatenate(candidates).reshape(-1, 3).T):
         img[np.argsort(keys)] = by_key
-    return FlagMap(new_r[0], new_r[1], new_r[2])
+    return FlagMap._derived(new_r[0], new_r[1], new_r[2])

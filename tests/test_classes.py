@@ -68,6 +68,15 @@ def test_basic_map_flag_counts():
         [1] + [2] * 6 + [4] * 7
 
 
+@pytest.mark.parametrize("label", LABELS)
+def test_basic_map_is_built_once_and_read_only(label):
+    m = basic_map(label)
+    assert basic_map(label) is m
+    for arr in m.r:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 def test_basic_5P_is_projective_plane():
     s = flagmaps.summary(basic_map("5P"))
     assert not s.has_boundary

@@ -335,6 +335,19 @@ def _assert_input_error_in_process(capsys, args, *needles):
         assert needle in lines[0], err
 
 
+@pytest.mark.parametrize("arrays, needle", [
+    (([1, 0, 3, 2], [0, 1, 2, 3], [1, 0, 3, 2]), "not connected"),
+    (([1, 2, 0], [0, 1, 2], [0, 1, 2]), "r0 is not an involution"),
+    (([0, 1], [1, 0], [1, 1]), "r2 is not an involution"),
+])
+@pytest.mark.parametrize("command", [["info"], ["op", "dual"], ["op", "petrie"]])
+def test_invalid_map_is_input_error(capsys, tmp_path, arrays, needle, command):
+    r0, r1, r2 = arrays
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"flags": len(r0), "r0": r0, "r1": r1, "r2": r2}))
+    _assert_input_error_in_process(capsys, [*command, str(path)], needle)
+
+
 @pytest.mark.parametrize("group, needles", [
     ({"degree": 3, "generators": []}, ('"generators"',)),
     ({"degree": "3", "generators": ["(1,2,3)", "(1,2)"]}, ('"degree"', "'3'")),

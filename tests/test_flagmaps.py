@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,17 @@ def test_basic_2Pex_summary_free_edge():
     assert not s.has_boundary
     assert s.orientable_no_boundary
     assert s.free_edges == 1
+
+
+def test_summary_is_cached_frozen_and_shared_with_the_dual():
+    m = _tetrahedron()
+    s = summary(m)
+    assert summary(m) is s
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.V = 5
+    d = summary(m.dual())
+    assert (d.V, d.F) == (s.F, s.V)
+    assert dataclasses.replace(d, V=s.V, F=s.F) == s
 
 
 def test_automorphisms_semiregular():

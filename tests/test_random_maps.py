@@ -13,6 +13,11 @@ extension walk, the depth-first orientation 2-colouring, colour refinement
 ranking whole rows with ``np.unique(..., axis=0)``, and the automorphism
 search that tested every candidate in turn after a random stabilizer
 filter, checked on maps of 300 to 10,080 flags.
+
+Maps that the dual, the Petrie dual, the quotient, the join and
+``build.build_map`` make without the public constructor's checks are
+checked against that constructor, on the corpus and on built witnesses of
+every build shape.
 """
 
 import itertools
@@ -509,3 +514,77 @@ def test_asymmetric_map_needs_few_extension_tests(monkeypatch):
     assert flagmaps.aut_order(m) == 1
     assert classes.classify(m) is None
     assert len(calls) <= 4
+
+
+# -- maps derived without the public constructor's checks ------------------------------
+
+def _witness_maps() -> list[FlagMap]:
+    """Built realizations of the seven build shapes, reached by the routes
+    "", "D" and "DP"."""
+    reals = [realize.sym_class1(4), realize.sym_chiral(6), realize.psl2_class2_q7(),
+             realize.sym_even("3", 4), realize.sym_even("2P", 5),
+             realize.nilpotent_chiral(4), realize.dihedral_spec(5),
+             *realize.edmonds_k8()]
+    source = realize.sym_class1(4)
+    reals += [realize.propagate(source, t) for t in ("2s", "2P", "4", "4s", "4P")]
+    two_pex = realize.edmonds_k8()[0]
+    reals += [realize.propagate(two_pex, t) for t in ("2sex", "5", "5s", "5P")]
+    assert {real.ops for real in reals} == {"", "D", "DP"}
+    return [real.build() for real in reals]
+
+
+WITNESSES = _witness_maps()
+
+
+def _assert_eager_tree(m: FlagMap) -> None:
+    """m's spanning tree, however it was made, equals the one the public
+    constructor builds on the same arrays, array by array and dtype by
+    dtype."""
+    got, want = m._tree, FlagMap(*m.r)._tree
+    assert len(got.chunks) == len(want.chunks)
+    pairs = [(got.parent, want.parent), (got.gen, want.gen)]
+    for (s, kids, pars), (t, kids2, pars2) in zip(got.chunks, want.chunks):
+        assert s == t
+        pairs += [(kids, kids2), (pars, pars2)]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _derived_maps():
+    """Every kind of map that ``FlagMap._derived`` makes: dual, Petrie dual,
+    DP, quotient by Aut, join and ``build.build_map`` (the corpus's S4 maps
+    and the witnesses are built ones)."""
+    sources = CORPUS + WITNESSES
+    for m in sources:
+        yield m
+        yield m.dual()
+        yield m.petrie()
+        yield m.dual().petrie()
+        yield flagmaps.quotient_by_aut(m)
+    for m1, m2 in zip(sources[::5], sources[1::5]):
+        if m1.n * m2.n <= 40_000:
+            yield flagmaps.join(m1, m2)
+
+
+def test_derived_maps_pass_the_public_constructor():
+    for m in _derived_maps():
+        assert FlagMap(*m.r) == m
+        assert m.dual()._tree_memo is None and m.petrie()._tree_memo is None
+        # the lazy tree is the eager one and the Python BFS
+        _assert_eager_tree(m)
+        _assert_tree_matches_python_bfs(m)
+
+
+def test_dual_summary_matches_a_fresh_summary():
+    for m in _derived_maps():
+        plain = FlagMap(*m.r)
+        without = plain.dual()  # no summary of plain yet
+        assert without._summary is None
+        expected = flagmaps.summary(FlagMap(*without.r))
+        assert flagmaps.summary(without) == expected
+        flagmaps.summary(plain)
+        with_source = plain.dual()
+        assert with_source._summary is not None
+        assert flagmaps.summary(with_source) == expected
+        assert flagmaps.summary(with_source.dual()) == flagmaps.summary(plain)
+
