@@ -219,9 +219,9 @@ def summary(m: FlagMap) -> MapSummary:
     if m._summary is not None:
         return m._summary
     r0, r1, r2 = m.r
-    _, V = perms.orbit_ids(m.n, [r1, r2])
-    edge_ids, E = perms.orbit_ids(m.n, [r0, r2])
-    _, F = perms.orbit_ids(m.n, [r0, r1])
+    _, V = perms.involution_orbit_ids(r1, r2)
+    edge_ids, E = perms.involution_orbit_ids(r0, r2)
+    _, F = perms.involution_orbit_ids(r0, r1)
     chi = V - E + F
     has_boundary = any(bool(np.any(arr == np.arange(m.n))) for arr in m.r)
     orientable = orientation_classes(m) is not None
@@ -252,7 +252,8 @@ def _stable_colors(m: FlagMap) -> np.ndarray:
               + 4 * (r2 == idx)
               + 8 * (r0[r2] == idx))
     n_colors = int(np.count_nonzero(np.bincount(colors)))
-    while True:
+    # one colour is stable: every flag has the same key (c, c, c, c)
+    while n_colors > 1:
         # rank the rows (c, c r0, c r1, c r2) lexicographically, one column
         # at a time on 1-D keys
         new, base = colors, int(colors.max()) + 1
@@ -370,7 +371,12 @@ def aut_generators(m: FlagMap) -> tuple[list[np.ndarray], np.ndarray]:
         for t in word:
             image = m.r[t][image]
         undecided[rest[image != rest]] = False
-    ids = perms.orbit_ids(m.n, gens)[0] if gens else np.arange(m.n)
+    if 2 * np.count_nonzero(in_orbit) >= m.n:
+        # every orbit of a semiregular action has the size of flag 0's, so
+        # its complement is the other orbit, if any
+        ids = (~in_orbit).astype(np.int64)
+    else:
+        ids = perms.orbit_ids(m.n, gens)[0] if gens else np.arange(m.n)
     m._aut = (gens, ids)
     return m._aut
 

@@ -840,19 +840,23 @@ def simultaneous_inversion_survey(G: GroupTable,
     return SurveyReport(n, n * n, generating, inverted, counterexample)
 
 
-# -- triple counting: brute force and the character formula -------------------
+# -- triple counting: one pass over G x G and the character formula -----------
 
-def count_triples_brute(G: GroupTable, A: Iterable[int], B: Iterable[int],
-                        C: Iterable[int]) -> int:
-    """Number of pairs (a, b) in A x B with (ab)^-1 in C, i.e. solutions of
-    abc = 1 with c restricted to C."""
-    Cset = set(C)
-    count = 0
-    for a in A:
-        for b in B:
-            if G.inverse(G.product(a, b)) in Cset:
-                count += 1
-    return count
+def class_triple_counts(G: GroupTable, classes: Sequence[Sequence[int]]) -> np.ndarray:
+    """The k x k x k array whose [i, j, l] entry is the number of pairs (a, b)
+    in classes[i] x classes[j] with (ab)^-1 in classes[l], i.e. solutions of
+    abc = 1 with c restricted to classes[l].  ``classes`` must partition the
+    ids.  One pass over G x G: row a of the product table holds ab for every
+    b, from one :meth:`~GroupTable.right_mult` per b."""
+    k = len(classes)
+    owner = np.full(G.size, -1, dtype=np.int64)
+    for i, c in enumerate(classes):
+        owner[c] = i
+    if sum(map(len, classes)) != G.size or (owner < 0).any():
+        raise ValueError("the classes do not partition the group")
+    products = np.stack([G.right_mult(b) for b in range(G.size)], axis=1)
+    keys = (owner[:, None] * k + owner) * k + owner[inverse_ids(G)[products]]
+    return np.bincount(keys.ravel(), minlength=k ** 3).reshape(k, k, k)
 
 
 class BadCharacterTable(Exception):

@@ -243,7 +243,30 @@ def _orbit_ids_array(degree: int, gens: list[np.ndarray]) -> tuple[np.ndarray, i
             if np.array_equal(jumped, label):
                 break
             label = jumped
-    roots = label == np.arange(degree)
+    return _numbered_labels(label)
+
+
+def involution_orbit_ids(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """:func:`orbit_ids` of two involution arrays (the cells of a flag map).
+    The orbit of x under <a, b> is the <ab>-cycle of x together with that of
+    a x.  Cycle minima come from pointer doubling: after k rounds ``lab[x]``
+    is the least of the 2^k points x, ab x, (ab)^2 x, ... and ``step`` is
+    (ab)^(2^k).  The first round that changes nothing leaves every label
+    exact (proof in docs/decisions.md)."""
+    lab = np.arange(a.size)
+    step = b[a]
+    while True:
+        new = np.minimum(lab, lab[step])
+        if np.array_equal(new, lab):
+            break
+        lab, step = new, step[step]
+    return _numbered_labels(np.minimum(lab, lab[a]))
+
+
+def _numbered_labels(label: np.ndarray) -> tuple[np.ndarray, int]:
+    """Ids numbered by least member, and the orbit count, from labels that
+    name the least member of each point's orbit."""
+    roots = label == np.arange(label.size)
     number = np.cumsum(roots) - 1
     return number[label], int(roots.sum())
 

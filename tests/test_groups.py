@@ -1,15 +1,17 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from etmaps import fields, groups, perms, realize
+from etmaps import fields, groups, perms, realize, suites
 from etmaps.groups import (DirectProduct, GpefAlphaGroup, GpefGroup, PermGroup,
-                           conjugacy_classes, count_triples_brute,
+                           class_triple_counts, conjugacy_classes,
                            derived_length, derived_series,
                            hom_extension_exists, index2_characters, involutions,
                            nilpotence_class,
                            simultaneous_inversion_survey)
+from oracles import count_triples_brute
 from test_quotient_oracle import center, derived_subgroup, quotient
 
 
@@ -186,6 +188,34 @@ def test_survey_psl27_with_pgl_action():
 def test_count_triples_trivial():
     G = PermGroup([P("(1,2)", 2)])
     assert count_triples_brute(G, [0], [0], [0]) == 1
+    assert class_triple_counts(G, [[0], [1]]).tolist() == [[[1, 0], [0, 1]],
+                                                          [[0, 1], [1, 0]]]
+
+
+@pytest.mark.parametrize("name", ["s4", "d4", "a5", "gpef"])
+def test_class_triple_counts_match_brute_force(name):
+    """Every class triple of the Frobenius suite's groups, and of a table-only
+    group whose ``right_mult`` is the generic product loop."""
+    if name == "gpef":
+        G = GpefGroup(3, 2, 1)
+        parts = conjugacy_classes(G)
+    else:
+        G, ct = suites._load_chartable(f"chartable_{name}.json")
+        parts = suites._locate_classes(G, ct)
+    counts = class_triple_counts(G, parts)
+    k = len(parts)
+    assert counts.shape == (k, k, k) and counts.sum() == G.size ** 2
+    for ia, ib, ic in itertools.product(range(k), repeat=3):
+        assert counts[ia, ib, ic] == count_triples_brute(G, parts[ia], parts[ib], parts[ic])
+
+
+def test_class_triple_counts_need_a_partition():
+    G = realize.sym_group(3)
+    parts = conjugacy_classes(G)
+    with pytest.raises(ValueError):
+        class_triple_counts(G, parts[:-1])
+    with pytest.raises(ValueError):
+        class_triple_counts(G, parts + [parts[0]])
 
 
 def test_conjugacy_classes_s4():

@@ -10,7 +10,8 @@ long path and a long cycle give spanning trees of depth 50,000 and more.
 
 The oracles are the Python walks these kernels replaced: the depth-first
 extension walk, the depth-first orientation 2-colouring, colour refinement
-ranking whole rows with ``np.unique(..., axis=0)``, and the automorphism
+ranking whole rows with ``np.unique(..., axis=0)``, the union-find on lists
+for the vertex, edge and face orbits, and the automorphism
 search that tested every candidate in turn after a random stabilizer
 filter, checked on maps of 300 to 10,080 flags.
 
@@ -356,6 +357,33 @@ def test_orbit_ids_on_arrays_match_union_find():
                     perms.orbit_ids(m.n, [a.tolist() for a in subset])
 
 
+CELLS = ((1, 2), (0, 2), (0, 1))  # vertices, edges, faces
+
+
+def _assert_cells_match_union_find(m: FlagMap):
+    for i, j in CELLS:
+        ids, count = perms.involution_orbit_ids(m.r[i], m.r[j])
+        assert (ids.tolist(), count) == \
+            perms.orbit_ids(m.n, [m.r[i].tolist(), m.r[j].tolist()])
+
+
+def test_involution_orbit_ids_match_union_find():
+    for m in CORPUS:
+        _assert_cells_match_union_find(m)
+
+
+def test_aut_orbit_ids_match_orbits_of_the_generators():
+    """Regular maps, maps with two Aut orbits (orbit ids read from flag 0's
+    orbit) and maps with more (the general labelling) all appear."""
+    shares = set()
+    for m in CORPUS:
+        gens, ids = flagmaps.aut_generators(m)
+        expected = perms.orbit_ids(m.n, gens)[0] if gens else np.arange(m.n)
+        assert ids.dtype == np.int64 and np.array_equal(ids, expected)
+        shares.add(min(3, m.n // flagmaps.aut_order(m)))
+    assert shares == {1, 2, 3}
+
+
 def test_rooted_match_matches_walk_at_every_root():
     rng = np.random.default_rng(12)
     for m in CORPUS:
@@ -431,6 +459,7 @@ def test_long_map_kernels_match_oracles(long_map):
     m = long_map
     cycle = m.r[1][0] != 0
     _assert_tree_matches_python_bfs(m)
+    _assert_cells_match_union_find(m)
     for subset in ([m.r[0]], [m.r[1]], list(m.r)):
         ids, count = perms.orbit_ids(m.n, subset)
         assert (ids.tolist(), count) == \
@@ -514,6 +543,25 @@ def test_asymmetric_map_needs_few_extension_tests(monkeypatch):
     assert flagmaps.aut_order(m) == 1
     assert classes.classify(m) is None
     assert len(calls) <= 4
+
+
+def test_map_layer_makes_no_whole_map_orbit_labelling(monkeypatch):
+    """Summaries, and classifying maps with at most two Aut orbits, label no
+    orbits over all flags with the general array code: cells come from the
+    two-involution kernel and Aut orbits from flag 0's orbit."""
+    degrees = []
+    labelling = perms._orbit_ids_array
+
+    def counted(degree, gens):
+        degrees.append(degree)
+        return labelling(degree, gens)
+
+    monkeypatch.setattr(perms, "_orbit_ids_array", counted)
+    maps = [real.build() for real in (*realize.edmonds_k8(), realize.sym_chiral(6))]
+    for m in maps:
+        flagmaps.summary(m)
+        assert classes.classify(m) is not None
+        assert m.n not in degrees
 
 
 # -- maps derived without the public constructor's checks ------------------------------
