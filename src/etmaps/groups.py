@@ -18,9 +18,10 @@ Cayley graph for extension (:func:`hom_extension`, which also returns the
 image array).  That walk remains for the table-only groups, and as the
 tests' oracle for the chain tests and for the class a built map falls
 into.  The one exception is :func:`simultaneous_inversion_survey` given
-permutations that induce Aut(G): it closes their action on element ids as
-an (|A|, |G|) array, and reads inversion at one representative per orbit
-off the coset of its stabilizer that inverts it.
+permutations that induce Aut(G): it closes their action on the images of
+G's generators, which fix an automorphism, and reads inversion at one
+representative per orbit off the coset of its stabilizer that inverts it,
+from the full rows of a few automorphisms only.
 """
 
 from __future__ import annotations
@@ -172,9 +173,11 @@ class PermGroup(GroupTable):
     and the generators have been met, so the ids are the deterministic BFS
     order of :func:`perms.bfs_closure` (word length, frontier position,
     generator index) and downstream reports are reproducible byte for byte.
-    With ``cap=None`` it is done by the first array call and refused above
-    :data:`TABLE_CAP` elements; its rows are the elements met so far, in id
-    order, then the rest in BFS order, so every id handed out stays valid.
+    With ``cap=None`` it is done by the first array call, or the first read
+    of an id in range not met yet (ids run from 0 to size-1), and refused
+    above :data:`TABLE_CAP` elements; its rows are the elements met so far,
+    in id order, then the rest in BFS order, so every id handed out stays
+    valid.
     Whole id permutations of the group (right multiplication, inversion,
     conjugation by a normalizing permutation) are matrix gathers turned into
     ids by :meth:`ids_of`.
@@ -228,8 +231,19 @@ class PermGroup(GroupTable):
             self._enumerate()
         return self._matrix
 
+    def _unmet(self, *ids: int) -> None:
+        """Called on an IndexError from reading ``ids``: enumerate the table
+        when an id is in range but not met yet, and re-raise otherwise."""
+        if self._matrix is not None or not all(0 <= a < self.size for a in ids):
+            raise
+        self.matrix()
+
     def elem(self, a: int) -> Perm:
-        return self._elems[a]
+        try:
+            return self._elems[a]
+        except IndexError:
+            self._unmet(a)
+            return self._elems[a]
 
     def id_of(self, p: Perm) -> int:
         p = tuple(p)
@@ -239,12 +253,16 @@ class PermGroup(GroupTable):
         return self._intern(p)
 
     def product(self, a: int, b: int) -> int:
-        return self._intern(perms.compose(self._elems[a], self._elems[b]))
+        try:
+            return self._intern(perms.compose(self._elems[a], self._elems[b]))
+        except IndexError:
+            self._unmet(a, b)
+            return self.product(a, b)
 
     def inverse(self, a: int) -> int:
         b = self._inv.get(a)
         if b is None:
-            b = self._inv[a] = self._intern(perms.inverse(self._elems[a]))
+            b = self._inv[a] = self._intern(perms.inverse(self.elem(a)))
         return b
 
     def ids_of(self, rows: np.ndarray) -> np.ndarray:
@@ -269,7 +287,7 @@ class PermGroup(GroupTable):
         return self.ids_of(m[w][m])  # row g: apply g, then w
 
     def label(self, a: int) -> str:
-        return perms.format_cycles(self._elems[a])
+        return perms.format_cycles(self.elem(a))
 
     def to_json(self) -> dict:
         return {"degree": self.degree,
@@ -288,7 +306,7 @@ class PermGroup(GroupTable):
 
     def generates(self, seed: Iterable[int]) -> bool:
         """Exact, by a stabilizer chain: a subgroup has order at most size/2."""
-        return perms.order_exceeds([self._elems[s] for s in seed], self.size // 2)
+        return perms.order_exceeds([self.elem(s) for s in seed], self.size // 2)
 
 
 class GpefGroup(GroupTable):
@@ -694,60 +712,106 @@ class SurveyReport:
         return self.counterexample is None
 
 
-def _induced_action(G: PermGroup, aut_gens: Sequence[Perm]) -> np.ndarray:
-    """The group of element-id permutations induced on G by conjugation with
-    ``aut_gens``, one (|G|,) int32 row per automorphism, identity first.
+class _InducedAction:
+    """The group A of element-id permutations induced on a :class:`PermGroup`
+    G by conjugation with ``aut_gens``, kept on the columns of
+    ``G.generators`` alone.
 
     A generator a conjugates the element matrix M in one gather,
-    ``a[M[:, a^-1]]``, whose ids :meth:`PermGroup.ids_of` reads.  The rows
-    are closed under composition one layer at a time, candidates in
-    generator-major, then frontier, order.  Two rows are the same
-    automorphism exactly when they agree on ``G.generators``, so a candidate
-    is tested for novelty on those k columns alone, and only the new ones
-    are gathered in full.  The columns are packed into one int64 key, the
-    digits of a base-|G| number, when |G|^k < 2^63, and are one
-    :func:`perms.void_keys` scalar otherwise."""
-    n = G.size
-    m = G.matrix()
-    gen_rows = np.empty((len(aut_gens), n), dtype=np.int32)
-    for row, a in zip(gen_rows, aut_gens):
-        a = tuple(a)
-        if len(a) != G.degree:
-            raise ValueError("aut_gens must act on the group's points")
-        a_inv = np.array(perms.inverse(a))
-        try:
-            row[:] = G.ids_of(np.array(a, dtype=m.dtype)[m[:, a_inv]])
-        except ValueError as exc:
-            raise ValueError("aut_action does not normalize the group") from exc
-    k = len(G.generators)
-    if n ** k < 2 ** 63:
-        radix = n ** np.arange(k, dtype=np.int64)
+    ``a[M[:, a^-1]]``, whose ids :meth:`PermGroup.ids_of` reads; these are
+    the rows ``gen_rows``.  Two automorphisms are equal exactly when they
+    agree on ``G.generators``, so closing the rows on those k columns alone
+    gives A exactly: ``cols[i]`` holds element i's images of the generators,
+    and element i is generator ``gen_of[i]`` applied after element
+    ``parent_of[i]``.  A key is the k columns packed into one int64,
+    the digits of a base-|G| number, when |G|^k < 2^63, and one
+    :func:`perms.void_keys` scalar otherwise.  No (|A|, |G|) array is built:
+    a column a -> a(x) costs one |A|-sized gather per BFS layer, and the
+    full row of one element one |G|-sized gather per letter of its word."""
 
-        def keys(cols: np.ndarray) -> np.ndarray:
-            return cols.astype(np.int64) @ radix
-    else:
-        keys = perms.void_keys
-    # the closure on the generator columns alone: a row followed by g is
-    # g[row] there too; each new row is recorded as (generator, parent row)
-    frontier = np.array(G.generators, dtype=np.int32)[None]
-    seen = keys(frontier)  # sorted keys of every row so far
-    layers = []
-    start = 0  # the frontier's first row
-    while len(frontier) and len(gen_rows):
-        # candidate g * f + i: row i of the frontier, then generator g
-        cand = gen_rows[:, frontier].reshape(-1, k)
-        fresh, seen = perms.first_new_keys(seen, keys(cand))
-        g, i = np.divmod(fresh, len(frontier))
-        layers.append((g, start + i))
-        start += len(frontier)
-        frontier = cand[fresh]
-    acts = np.empty((len(seen), n), dtype=np.int32)
-    acts[0] = np.arange(n)
-    row = 1
-    for g, parent in layers:  # full rows, one gather per layer
-        acts[row:row + len(g)] = gen_rows.ravel()[(g * n)[:, None] + acts[parent]]
-        row += len(g)
-    return acts
+    def __init__(self, G: PermGroup, aut_gens: Sequence[Perm]):
+        n = G.size
+        m = G.matrix()
+        self.gen_rows = np.empty((len(aut_gens), n), dtype=np.int32)
+        for row, a in zip(self.gen_rows, aut_gens):
+            a = tuple(a)
+            if len(a) != G.degree:
+                raise ValueError("aut_gens must act on the group's points")
+            a_inv = np.array(perms.inverse(a))
+            try:
+                row[:] = G.ids_of(np.array(a, dtype=m.dtype)[m[:, a_inv]])
+            except ValueError as exc:
+                raise ValueError("aut_action does not normalize the group") from exc
+        k = len(G.generators)
+        if n ** k < 2 ** 63:
+            radix = n ** np.arange(k, dtype=np.int64)
+            self.keys = lambda cols: cols.astype(np.int64) @ radix
+        else:
+            self.keys = perms.void_keys
+        # BFS layers, identity first: candidate g * f + i is frontier element
+        # i followed by generator g, and the first candidate with a key not
+        # seen before is the next element
+        frontier = np.array(G.generators, dtype=np.int32)[None]
+        found = [frontier]
+        seen = self.keys(frontier)  # sorted keys of every element so far
+        self.layers = []  # per layer, (generator, parent) index arrays
+        first = 0  # the frontier's first element
+        while len(frontier) and len(self.gen_rows):
+            cand = self.gen_rows[:, frontier].reshape(-1, k)
+            fresh, seen = perms.first_new_keys(seen, self.keys(cand))
+            g, i = np.divmod(fresh, len(frontier))
+            self.layers.append((g, first + i))
+            first += len(frontier)
+            frontier = cand[fresh]
+            found.append(frontier)
+        self.cols = np.concatenate(found)
+        self.order = len(self.cols)
+        self.gen_of = np.concatenate([[0], *(g for g, _ in self.layers)]).tolist()
+        self.parent_of = np.concatenate([[0], *(p for _, p in self.layers)]).tolist()
+
+    def column(self, x: int) -> np.ndarray:
+        """The image of id x under every element of A, in BFS order."""
+        col = np.empty(self.order, dtype=np.int32)
+        col[0] = x
+        at = 1
+        for g, parent in self.layers:
+            col[at:at + len(g)] = self.gen_rows[g, col[parent]]
+            at += len(g)
+        return col
+
+    def row(self, a: int) -> np.ndarray:
+        """The image of every id under element a of A."""
+        word = []
+        while a:
+            word.append(self.gen_of[a])
+            a = self.parent_of[a]
+        row = np.arange(self.gen_rows.shape[1], dtype=np.int32)
+        for g in reversed(word):
+            row = self.gen_rows[g][row]
+        return row
+
+    def subgroup_rows(self, members: np.ndarray) -> list[np.ndarray]:
+        """Full rows of generators of the subgroup of A whose elements are
+        ``members`` (ascending, so the identity 0 first): the first member
+        outside the subgroup generated so far, until that subgroup has every
+        member.  Left multiplication by a chosen row permutes the members
+        (read by their keys), and the subgroup the rows generate is the
+        orbit of the identity.  A itself is generated by ``gen_rows``."""
+        if len(members) == self.order:
+            return list(self.gen_rows)
+        cols = self.cols[members]
+        keys = self.keys(cols)
+        by_key = np.argsort(keys)
+        keys = keys[by_key]
+        rows: list[np.ndarray] = []
+        moves: list[np.ndarray] = []  # left multiplications, on member indices
+        span = np.zeros(len(members), dtype=bool)
+        span[0] = True
+        while not span.all():
+            rows.append(self.row(int(members[np.argmin(span)])))
+            moves.append(by_key[np.searchsorted(keys, self.keys(rows[-1][cols]))])
+            span = perms.orbit_ids(len(members), moves)[0] == 0
+        return rows
 
 
 def _generation_classes(G: GroupTable, x: int, inv: np.ndarray,
@@ -789,11 +853,15 @@ def simultaneous_inversion_survey(G: GroupTable,
 
     With ``aut_gens`` (permutations normalizing a :class:`PermGroup` G,
     e.g. PGammaL(2,q) over PSL(2,q)) the automorphisms are the induced
-    action A, an (|A|, |G|) array of element-id permutations built by
-    :func:`_induced_action`.  x runs over the least member r of each
-    A-orbit, weighted by orbit size, and the generation classes of y also
-    follow the stabilizer A_r.  (r, y) is inverted iff some row of the coset
-    of A_r that sends r to r^-1 also sends y to y^-1.
+    action A, kept on the columns of ``G.generators`` by
+    :class:`_InducedAction`; no (|A|, |G|) array is built.  x runs over the
+    least member r of each A-orbit, read off column r, weighted by orbit
+    size.  The members of the stabilizer A_r are the elements whose column
+    r is r, and the full rows of a few of them generate it
+    (:meth:`_InducedAction.subgroup_rows`); the generation classes of y also
+    follow their orbits.  The automorphisms sending r to r^-1 are the coset
+    u A_r of the first one, u, so (r, y) is inverted iff u^-1(y^-1) lies in
+    y's A_r-orbit (``docs/decisions.md``).
     """
     if aut_gens is not None and not isinstance(G, PermGroup):
         raise ValueError("aut_gens requires a permutation group, got "
@@ -819,19 +887,27 @@ def simultaneous_inversion_survey(G: GroupTable,
                     counterexample = (x, y)
         return SurveyReport(n, n * n, generating, inverted, counterexample)
 
-    acts = _induced_action(G, aut_gens)
+    A = _InducedAction(G, aut_gens)
     seen = np.zeros(n, dtype=bool)
     for r in range(n):  # each unseen r is the least member of its A-orbit
         if seen[r]:
             continue
-        images = acts[:, r]
+        images = A.column(r)
         seen[images] = True
-        fixes = images == r
-        orbit = len(acts) // int(fixes.sum())  # |A| / |A_r|
-        # least point of each orbit of the stabilizer A_r (a subgroup, so
-        # its rows hold every image of y)
-        _, gen = _generation_classes(G, r, inv, [acts[fixes].min(axis=0)])
-        inverts = (acts[images == inv[r]] == inv).any(axis=0)
+        fixes = np.flatnonzero(images == r)
+        orbit = A.order // len(fixes)  # |A| / |A_r|
+        # orbit ids of the stabilizer A_r, and the least point of each orbit
+        ids, is_least = conjugation_orbits(n, A.subgroup_rows(fixes))
+        _, gen = _generation_classes(G, r, inv, [np.flatnonzero(is_least)[ids]])
+        # the automorphisms sending r to r^-1 are the coset u A_r of any one
+        # u; one of them sends y to y^-1 iff u^-1(y^-1) is in y's A_r-orbit
+        u = int(np.argmax(images == inv[r]))
+        if images[u] == inv[r]:
+            u_inv = np.empty(n, dtype=np.int64)
+            u_inv[A.row(u)] = ident
+            inverts = ids[u_inv[inv]] == ids
+        else:
+            inverts = np.zeros(n, dtype=bool)
         generating += orbit * int(gen.sum())
         inverted += orbit * int((gen & inverts).sum())
         bad = gen & ~inverts

@@ -77,6 +77,31 @@ def test_ids_are_handed_out_as_elements_are_met():
         G.right_mult(x)
 
 
+READS = {"elem": lambda G, a: G.elem(a), "product": lambda G, a: G.product(a, 1),
+         "inverse": lambda G, a: G.inverse(a), "label": lambda G, a: G.label(a),
+         "generates": lambda G, a: G.generates([a, 1])}
+
+
+@pytest.mark.parametrize("read", sorted(READS))
+def test_reading_an_unmet_id_enumerates_the_table(read):
+    """Ids run from 0 to size-1, met or not: on a fresh group whose only
+    met ids are the identity and the generators, reading any other id in
+    range enumerates the element table first.  An id out of range is still
+    an IndexError, and a group too large for a table refuses the read."""
+    gens = [realize.cycle(5, 1, 2, 3), realize.cycle(5, 1, 2, 3, 4, 5)]
+    G = PermGroup(gens, cap=None)
+    READS[read](G, 59)
+    assert sorted(map(G.elem, range(60))) == sorted(map(PermGroup(gens).elem, range(60)))
+    assert G.elem(G.product(59, 1)) == perms.compose(G.elem(59), G.elem(1))
+    assert G.elem(G.inverse(59)) == perms.inverse(G.elem(59))
+    assert G.label(59) == perms.format_cycles(G.elem(59))
+    with pytest.raises(IndexError):
+        READS[read](G, 60)
+    big = PermGroup([realize.cycle(20, 1, 2, 3), realize.cycle(20, *range(2, 21))], cap=None)
+    with pytest.raises(perms.CapExceeded):
+        READS[read](big, 5)
+
+
 def test_verify_positive_names_how_it_decided():
     assert suites._verify_positive(suites.alt_witness("2", 5), want_aut=60) == \
         ("realizable", "exact test, no map built")

@@ -1,23 +1,27 @@
 """The simultaneous inversion survey, with and without an automorphism action.
 
-``simultaneous_inversion_survey(G, aut_gens)`` runs on the induced action as
-id arrays.  ``reference_survey`` below is the element-by-element version it
-replaced: every member of <aut_gens> conjugates every element, inversion sets
-are bit masks, orbits and transport are a BFS, and the n^2 count is a Python
-loop.  Without ``aut_gens`` the survey scans canonical pairs only;
-``class_rep_survey`` is the version it replaced, which pairs each class
-leader with every element.  Each pair of versions must give the same report,
-counterexample included.  ``matrix_survey`` is the survey with ``aut_gens``
-as it was before orbit representatives: a (|G|, |G|) generation matrix and
-one matrix product of inversion indicators.  ``python_induced_action`` is the
-element-by-element induced action that ``groups._induced_action`` replaced;
-the two must give equal arrays, rows and their order included.
+``simultaneous_inversion_survey(G, aut_gens)`` keeps the induced action A on
+the columns of ``G.generators`` (``groups._InducedAction``) and reads full
+rows only for generators of each orbit representative's stabilizer and for
+one element of its inverting coset.  ``reference_survey`` below is the
+element-by-element version it replaced: every member of <aut_gens>
+conjugates every element, inversion sets are bit masks, orbits and
+transport are a BFS, and the n^2 count is a Python loop.  Without
+``aut_gens`` the survey scans canonical pairs only; ``class_rep_survey`` is
+the version it replaced, which pairs each class leader with every element.
+Each pair of versions must give the same report, counterexample included.
+``matrix_survey`` is the survey with ``aut_gens`` as it was before orbit
+representatives: a (|G|, |G|) generation matrix and one matrix product of
+inversion indicators, on the whole (|A|, |G|) table of ``induced_action``.
+``python_induced_action`` is that table built element by element; the two
+must give equal arrays, rows and their order included.
 """
 
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +30,10 @@ import pytest
 import etmaps
 from etmaps import fields, perms, realize
 from etmaps.groups import (DirectProduct, GpefGroup, PermGroup, SurveyReport,
-                           _generation_classes, _induced_action, conjugacy_classes,
-                           conjugation, conjugation_generators, extends_from_generating,
-                           hom_extension_exists, inverse_ids, simultaneous_inversion_survey)
+                           _generation_classes, _InducedAction, conjugacy_classes,
+                           conjugation, conjugation_generators, conjugation_orbits,
+                           extends_from_generating, hom_extension_exists, inverse_ids,
+                           simultaneous_inversion_survey)
 from test_closure import python_closure
 from test_table_closure import python_conjugacy_classes
 
@@ -42,6 +47,22 @@ def aut_action_arrays(G, aut_gens):
         arrays.append([G.id_of(perms.compose(perms.compose(a_inv, G.elem(x)), a))
                        for x in range(G.size)])
     return arrays
+
+
+def induced_action(G, aut_gens):
+    """The whole induced action A as one (|A|, |G|) int32 array of element-id
+    permutations, identity first, rows in the BFS order of
+    ``_InducedAction``: each layer's rows are one gather of the generator
+    rows at their parents' rows."""
+    A = _InducedAction(G, aut_gens)
+    n = G.size
+    acts = np.empty((A.order, n), dtype=np.int32)
+    acts[0] = np.arange(n)
+    row = 1
+    for g, parent in A.layers:
+        acts[row:row + len(g)] = A.gen_rows.ravel()[(g * n)[:, None] + acts[parent]]
+        row += len(g)
+    return acts
 
 
 def reference_survey(G, aut_gens):
@@ -112,7 +133,7 @@ def matrix_survey(G, aut_gens):
     A-orbit, once per orbit of the stabilizer A_r on y, and carried to
     (x, .) by a row of A taking r to x."""
     n = G.size
-    acts = _induced_action(G, aut_gens)
+    acts = induced_action(G, aut_gens)
     inverts = (acts == inverse_ids(G)).astype(np.float32)
     # float32 counts are exact below 2**24 automorphisms
     pairmat = (inverts.T @ inverts) > 0
@@ -155,7 +176,45 @@ def inner_gens(G):
     return [G.elem(g) for g in G.generators]
 
 
+def _wide_s5():
+    """S5 given by ten generators, acting on itself by conjugation:
+    120^10 > 2^63, so the closure keys its rows by void scalars instead of
+    one int64."""
+    rng = random.Random(0)
+    redundant = [tuple(rng.sample(range(5), 5)) for _ in range(8)]
+    G = PermGroup(inner_gens(realize.sym_group(5)) + redundant)
+    assert len(G.generators) >= 10 and G.size ** len(G.generators) >= 2 ** 63
+    return G, inner_gens(G)
+
+
+def _d4():
+    return PermGroup([perms.parse_cycles("(1,2,3,4)", 4), perms.parse_cycles("(1,3)", 4)])
+
+
+def _c3_x_c3():
+    return PermGroup([perms.parse_cycles("(1,2,3)", 6), perms.parse_cycles("(4,5,6)", 6)])
+
+
+def _with_cycles(make, *cycles):
+    def pair():
+        G = make()
+        return G, [perms.parse_cycles(c, G.degree) for c in cycles]
+    return pair
+
+
+# actions with a kernel: conjugation by G's own (central) elements acts
+# trivially, so A is smaller than the point group <aut_gens>
+KERNEL = {
+    "C3 x C3, swap": _with_cycles(_c3_x_c3, "(1,4)(2,5)(3,6)", "(1,2,3)"),
+    "C3 x C3, signed swaps": _with_cycles(_c3_x_c3, "(1,4)(2,5)(3,6)", "(2,3)", "(1,2,3)"),
+    "D4, inner": lambda: (_d4(), inner_gens(_d4())),
+}
+BUILT = {"S5-wide": _wide_s5, **KERNEL}
+
+
 def case(name):
+    if name in BUILT:
+        return BUILT[name]()
     kind, _, action = name.partition("-")
     if kind.startswith("L2"):
         return psl2_case(int(kind[3:-1]), action)
@@ -166,7 +225,7 @@ def case(name):
 
 
 DIFFERENTIAL = [f"L2({q})-{action}" for q in FIELDS for action in ("pgammal", "inner")]
-DIFFERENTIAL += ["S4-inner", "S5-inner", "S6-inner", "A5-sym"]
+DIFFERENTIAL += ["S4-inner", "S5-inner", "S6-inner", "A5-sym", *BUILT]
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
@@ -189,7 +248,7 @@ def test_survey_matches_matrix_survey(p):
 def _classes_at_orbit_reps(G, aut_gens):
     """(r, least member of y's generation class, verdict) for every least
     member r of an orbit of the induced action, as the survey forms them."""
-    acts = _induced_action(G, aut_gens)
+    acts = induced_action(G, aut_gens)
     inv = inverse_ids(G)
     seen = np.zeros(G.size, dtype=bool)
     for r in range(G.size):
@@ -319,23 +378,59 @@ def relabelled(G, aut_gens, seed):
 @pytest.mark.parametrize("q", [7, 8, 9])
 def test_induced_action_matches_element_loop(q, seed):
     G, aut_gens = relabelled(*psl2_case(q, "pgammal"), seed)
-    acts = _induced_action(G, aut_gens)
+    acts = induced_action(G, aut_gens)
     expected = python_induced_action(G, aut_gens)
     assert acts.dtype == expected.dtype
     assert np.array_equal(acts, expected)
 
 
 def test_induced_action_keys_too_wide_to_pack():
-    """S5 given by ten generators: 120^10 > 2^63, so the closure keys its
-    rows by void scalars instead of one int64."""
-    rng = random.Random(0)
-    redundant = [tuple(rng.sample(range(5), 5)) for _ in range(8)]
-    G = PermGroup(inner_gens(realize.sym_group(5)) + redundant)
-    assert len(G.generators) >= 10 and G.size ** len(G.generators) >= 2 ** 63
-    aut_gens = inner_gens(G)
-    acts = _induced_action(G, aut_gens)
+    G, aut_gens = case("S5-wide")
+    acts = induced_action(G, aut_gens)
     assert len(acts) == 120
     assert np.array_equal(acts, python_induced_action(G, aut_gens))
+
+
+@pytest.mark.parametrize("name", ["L2(7)-pgammal", "L2(8)-pgammal", "L2(9)-pgammal",
+                                  "S5-inner"])
+def test_columns_rows_and_stabilizers_match_the_table(name):
+    """What the survey reads of A, against the whole table: every column,
+    full rows, and at each orbit representative r the rows of
+    ``subgroup_rows``, which must generate exactly the stabilizer A_r and
+    give the least point of each A_r-orbit as ``acts[A_r].min(axis=0)``."""
+    G, aut_gens = case(name)
+    A = _InducedAction(G, aut_gens)
+    acts = induced_action(G, aut_gens)
+    for a in range(0, A.order, 7):
+        assert np.array_equal(A.row(a), acts[a])
+    seen = np.zeros(G.size, dtype=bool)
+    for r in range(G.size):
+        images = A.column(r)
+        assert np.array_equal(images, acts[:, r])
+        if seen[r]:
+            continue
+        seen[images] = True
+        fixes = np.flatnonzero(images == r)
+        rows = A.subgroup_rows(fixes)
+        generated = python_closure([tuple(row.tolist()) for row in rows] or [tuple(range(G.size))])
+        assert len(generated) == len(fixes), r
+        ids, is_least = conjugation_orbits(G.size, rows)
+        assert np.array_equal(np.flatnonzero(is_least)[ids], acts[fixes].min(axis=0)), r
+
+
+def test_survey_memory_has_no_table():
+    """L2(13) with PGammaL: the (|A|, |G|) int32 table would be 2184 x 1092
+    x 4 bytes, 9.5 MB; the survey must peak at no more than 4 MB."""
+    F = fields.FiniteField(13, 1)
+    G = realize.psl2_perm_group(F)
+    aut_gens = fields.pgammal2_generators(F)
+    tracemalloc.start()
+    try:
+        simultaneous_inversion_survey(G, aut_gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 def test_ids_of_refuses_a_repeated_row():
@@ -411,6 +506,16 @@ CANONICAL = {
     "F21": _f21,
     "G(3,2,1)": lambda: GpefGroup(3, 2, 1),
 }
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL))
+def test_kernel_cases_act_with_a_kernel(name):
+    """The survey on these ``DIFFERENTIAL`` cases checks that |A| and every
+    |A_r| come from the induced closure, never from the order of the point
+    group, which is larger."""
+    G, aut_gens = case(name)
+    A = _InducedAction(G, aut_gens)
+    assert A.order < perms.group_order(perms.group_spec(aut_gens), None)
 
 
 @pytest.mark.parametrize("name", sorted(CANONICAL))
