@@ -3,10 +3,10 @@
 A :class:`GroupTable` is a set of element ids ``0..size-1`` with a product
 oracle; id 0 is always the identity.  Concrete tables: permutation groups
 (:class:`PermGroup`, known by their generators and stabilizer-chain order,
-whose ids are handed out as elements are met and whose element table is
-enumerated once, at construction under a cap or on the first array call
-without one), the metacyclic p-group families ``G_{p,e,f}`` and their C2
-extension by the automorphism ``g -> gh, h -> h^-1``, and direct products.
+whose ids are handed out as elements are met and whose element table, a
+row matrix with sorted keys, is enumerated once, at construction under a cap
+or on the first array call without one), the metacyclic p-group families
+``G_{p,e,f}`` and their C2 extension by ``g -> gh, h -> h^-1``, and direct products.
 
 Automorphism questions are never answered by materializing Aut(G); they are
 phrased as extension questions on generating tuples
@@ -165,19 +165,22 @@ class PermGroup(GroupTable):
     before anything is enumerated; ``cap=None`` allows any order.
 
     Ids are handed out as elements are met: the identity 0, the generators,
-    then each new product, inverse or member given to :meth:`id_of` (checked
-    by a chain order test).  They are internal; elements print as cycles.
-    The element table, the (size, degree) :meth:`matrix` with the sorted
-    :func:`perms.row_keys` of its rows and the full tuple -> id dict, is
-    enumerated once.  With a cap that is done here, when only the identity
-    and the generators have been met, so the ids are the deterministic BFS
-    order of :func:`perms.bfs_closure` (word length, frontier position,
-    generator index) and downstream reports are reproducible byte for byte.
-    With ``cap=None`` it is done by the first array call, or the first read
-    of an id in range not met yet (ids run from 0 to size-1), and refused
-    above :data:`TABLE_CAP` elements; its rows are the elements met so far,
-    in id order, then the rest in BFS order, so every id handed out stays
-    valid.
+    then each new product, inverse or member given to :meth:`id_of`.  They
+    are internal; elements print as cycles.  The element table is only the
+    (size, degree) :meth:`matrix` and the sorted :func:`perms.row_keys` of its
+    rows; element tuples are a memo of the elements met, id -> tuple and back.
+    Before the table exists a new member takes the next id, and :meth:`id_of`
+    decides membership by a chain order test.  After, an unmet id is read off
+    its row, and a tuple's id off its row key in the sorted keys, which also
+    decides membership.
+    With a cap the table is built here, when only the identity and the
+    generators are met, so the ids are the deterministic BFS order of
+    :func:`perms.bfs_closure` (word length, frontier position, generator
+    index) and downstream reports are reproducible byte for byte.  With
+    ``cap=None`` it is built by the first array call, or the first read of
+    an id in range not met yet (ids run from 0 to size-1), and refused above
+    :data:`TABLE_CAP` elements; its rows are the elements met so far, in id
+    order, then the rest in BFS order, so every id handed out stays valid.
     Whole id permutations of the group (right multiplication, inversion,
     conjugation by a normalizing permutation) are matrix gathers turned into
     ids by :meth:`ids_of`.
@@ -187,29 +190,35 @@ class PermGroup(GroupTable):
         self._gens = [tuple(g) for g in generators]
         self.degree = len(self._gens[0])
         self.size = perms.group_order(perms.group_spec(self._gens), cap)
-        self._elems = [tuple(range(self.degree))]
-        self._index = {self._elems[0]: 0}
-        self.generators = [self._intern(g) for g in self._gens]
-        self._inv: dict[int, int] = {}
         self._matrix: np.ndarray | None = None
+        ident = tuple(range(self.degree))
+        self._elems = {0: ident}  # the memo of met elements, both ways
+        self._index = {ident: 0}
+        self.generators = [self._intern(g) for g in self._gens]
         if cap is not None:
             self._enumerate()
 
     def _intern(self, p: Perm) -> int:
         a = self._index.get(p)
         if a is None:
-            a = self._index[p] = len(self._elems)
-            self._elems.append(p)
+            a = self._index[p] = len(self._elems) if self._matrix is None else self._lookup(p)
+            self._elems[a] = p
         return a
 
+    def _lookup(self, p: Perm) -> int | None:
+        """The id of ``p`` by its key in the table, or None if not a row."""
+        key = perms.row_keys(np.array([p], dtype=self._matrix.dtype))[0]
+        at = min(int(self._sorted_keys.searchsorted(key)), self.size - 1)
+        return int(self._key_ids[at]) if self._sorted_keys[at] == key else None
+
     def _enumerate(self) -> None:
-        """Fill in the element table (see the class docstring)."""
+        """Build the element table (see the class docstring)."""
         m = perms.bfs_closure(self._gens)
         keys = perms.row_keys(m)
         by_key = np.argsort(keys)
-        # the BFS rows of the elements met so far, which keep their ids
+        # the BFS rows of the elements met so far, in id order, keep their ids
         met = by_key[np.searchsorted(keys[by_key], perms.row_keys(
-            np.array(self._elems, dtype=m.dtype)))]
+            np.array(list(self._elems.values()), dtype=m.dtype)))]
         if not np.array_equal(met, np.arange(len(met))):
             rest = np.ones(self.size, dtype=bool)
             rest[met] = False
@@ -219,8 +228,6 @@ class PermGroup(GroupTable):
         self._matrix = m
         self._key_ids = by_key
         self._sorted_keys = keys[by_key]
-        self._elems = list(zip(*m.T.tolist()))  # row tuples
-        self._index = dict(zip(self._elems, range(self.size)))
 
     def matrix(self) -> np.ndarray:
         """The element matrix, row a the element with id a, enumerated on the
@@ -231,39 +238,29 @@ class PermGroup(GroupTable):
             self._enumerate()
         return self._matrix
 
-    def _unmet(self, *ids: int) -> None:
-        """Called on an IndexError from reading ``ids``: enumerate the table
-        when an id is in range but not met yet, and re-raise otherwise."""
-        if self._matrix is not None or not all(0 <= a < self.size for a in ids):
-            raise
-        self.matrix()
-
     def elem(self, a: int) -> Perm:
-        try:
-            return self._elems[a]
-        except IndexError:
-            self._unmet(a)
-            return self._elems[a]
+        p = self._elems.get(a)
+        if p is None:
+            if not 0 <= a < self.size:
+                raise IndexError(f"no element with id {a} in a group of order {self.size}")
+            p = self._elems[a] = tuple(self.matrix()[a].tolist())
+            self._index[p] = int(a)
+        return p
 
     def id_of(self, p: Perm) -> int:
         p = tuple(p)
-        if p not in self._index and (
-                len(p) != self.degree or perms.order_exceeds(self._gens + [p], self.size)):
-            raise ValueError(f"permutation {perms.format_cycles(p)} not in group")
+        if p not in self._index and (len(p) != self.degree or not perms.is_perm(p) or (
+                perms.order_exceeds(self._gens + [p], self.size) if self._matrix is None
+                else self._lookup(p) is None)):
+            raise ValueError(f"permutation {perms.format_cycles(p) if perms.is_perm(p) else p}"
+                             " not in group")
         return self._intern(p)
 
     def product(self, a: int, b: int) -> int:
-        try:
-            return self._intern(perms.compose(self._elems[a], self._elems[b]))
-        except IndexError:
-            self._unmet(a, b)
-            return self.product(a, b)
+        return self._intern(perms.compose(self.elem(a), self.elem(b)))
 
     def inverse(self, a: int) -> int:
-        b = self._inv.get(a)
-        if b is None:
-            b = self._inv[a] = self._intern(perms.inverse(self.elem(a)))
-        return b
+        return self._intern(perms.inverse(self.elem(a)))
 
     def ids_of(self, rows: np.ndarray) -> np.ndarray:
         """The ids of the rows of a (size, degree) matrix whose rows are the

@@ -113,7 +113,9 @@ def _verify_positive(real: Realization, want_aut: int,
     ``even`` the map must also be orientable without boundary: its kernel
     lies in the even subgroup of the parent group, that is some character
     G -> C2 takes the value 1 on the images of sign -1 in
-    :data:`build.EVEN_SIGNS` and 0 on those of sign +1."""
+    :data:`build.EVEN_SIGNS` and 0 on those of sign +1, which G, then a
+    :class:`groups.PermGroup`, decides by one chain order test
+    (:func:`_has_character`)."""
     source = "exact test, no map built"
     spec, G = real.spec, real.spec.group
     if build.ORBIT_ROUTE[real.label] != (spec.class_label, real.ops):
@@ -129,12 +131,24 @@ def _verify_positive(real: Realization, want_aut: int,
     if build.has_forbidden_automorphism(spec)[0]:
         return "forbidden automorphism", source
     signs = build.EVEN_SIGNS[real.label]
-    if even and signs is not None:
-        want = [(spec.images[name], 1 if sign == -1 else 0) for name, sign in signs.items()]
-        if not any(all(lam[x] == v for x, v in want)
-                   for lam in groups.index2_characters(G)):
-            return "not orientable without boundary", source
+    if even and signs is not None and not _has_character(
+            G, [(spec.images[name], 1 if sign == -1 else 0) for name, sign in signs.items()]):
+        return "not orientable without boundary", source
     return "realizable", source
+
+
+def _has_character(G: groups.PermGroup, want: list[tuple[int, int]]) -> bool:
+    """Is there a character G -> C2 with value v on x for every (x, v) in
+    ``want``?  The x must generate G and some v must be 1, as in every row
+    of :data:`build.EVEN_SIGNS`, so the character sought is nontrivial.
+
+    No element table is needed.  With tau the swap of two extra points, the
+    diagonal <(x, tau^v)> acts on degree + 2 points and projects onto G; it
+    is the graph of a homomorphism G -> <tau>, the character sought, iff its
+    order is |G|."""
+    n = G.degree
+    tau = {0: (n, n + 1), 1: (n + 1, n)}
+    return not perms.order_exceeds([G.elem(x) + tau[v] for x, v in want], G.size)
 
 
 # -- basic-maps ------------------------------------------------------------------
