@@ -425,23 +425,14 @@ def _canonical_tuples(G: GroupTable, domains: list[list[int]], first: list[int],
         yield from descend((x,), [])
 
 
-def _orbit_union(tuples: list[tuple[int, ...]], conj: list[list[int]],
+def _orbit_union(tuples: list[tuple[int, ...]], conj: list[np.ndarray],
                  first: set[int]) -> list[tuple[int, ...]]:
-    """Sorted union of the orbits of ``tuples`` under simultaneous conjugation
-    by the group whose conjugation id permutations are ``conj``, keeping the
-    tuples whose first image is in ``first``."""
-    orbit = set(tuples)
-    frontier = list(orbit)
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for c in conj:
-                u = tuple(c[x] for x in t)
-                if u not in orbit:
-                    orbit.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return sorted(t for t in orbit if t[0] in first)
+    """Sorted union of the orbits of the distinct ``tuples`` under
+    simultaneous conjugation by the group whose conjugation id permutations
+    are ``conj`` (:func:`perms.bfs_closure`), keeping the tuples whose first
+    image is in ``first``."""
+    orbit, _ = perms.bfs_closure(conj, tuples)
+    return sorted(t for t in map(tuple, orbit.tolist()) if t[0] in first)
 
 
 def search_epimorphisms(label: str, G: GroupTable, *,
@@ -532,8 +523,7 @@ def search_epimorphisms(label: str, G: GroupTable, *,
             canonical.append(tup)
             if room is not None and len(canonical) == room:
                 break
-        found = _orbit_union(canonical, [c.tolist() for c in conj_g],
-                             set(first if up_to_cycle_type else doms[0]))
+        found = _orbit_union(canonical, conj_g, set(first if up_to_cycle_type else doms[0]))
         for tup in [t for t in found if t not in seen][:room]:
             seen.add(tup)
             witnesses.append(dict(zip(names, tup)))

@@ -219,7 +219,7 @@ def make_parser() -> argparse.ArgumentParser:
     how_many.add_argument("--keep-all", action="store_true",
                           help="return every witness")
     p.add_argument("--up-to-cycle-type", action="store_true")
-    p.add_argument("--cap", type=int, default=10**7)
+    p.add_argument("--cap", type=int, default=groups.TABLE_CAP)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="run a named verification suite")

@@ -19,9 +19,11 @@ image array).  That walk remains for the table-only groups, and as the
 tests' oracle for the chain tests and for the class a built map falls
 into.  The one exception is :func:`simultaneous_inversion_survey` given
 permutations that induce Aut(G): it closes their action on the images of
-G's generators, which fix an automorphism, and reads inversion at one
-representative per orbit off the coset of its stabilizer that inverts it,
-from the full rows of a few automorphisms only.
+G's generators, which fix an automorphism, by the orbit BFS that also
+enumerates a permutation group's elements (:func:`perms.bfs_closure`, keyed
+by :func:`perms.row_keys`), and reads inversion at one representative per
+orbit off the coset of its stabilizer that inverts it, from the full rows
+of a few automorphisms only.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import perms
-from .perms import CapExceeded, Perm
+from .perms import TABLE_CAP, CapExceeded, Perm
 
 
 def _is_int(value) -> bool:
@@ -45,9 +47,6 @@ def _exponents(value: list, arity: int) -> tuple[int, ...]:
     if len(value) != arity or not all(_is_int(c) for c in value):
         raise ValueError(f"{value!r} is not a list of {arity} integer exponents")
     return tuple(value)
-
-
-TABLE_CAP = 10**7  # the most elements an element table may have by default
 
 
 def _close(span: np.ndarray, mults: Sequence[np.ndarray], frontier: np.ndarray,
@@ -213,7 +212,7 @@ class PermGroup(GroupTable):
 
     def _enumerate(self) -> None:
         """Build the element table (see the class docstring)."""
-        m = perms.bfs_closure(self._gens)
+        m, _ = perms.bfs_closure(self._gens)
         keys = perms.row_keys(m)
         by_key = np.argsort(keys)
         # the BFS rows of the elements met so far, in id order, keep their ids
@@ -270,7 +269,7 @@ class PermGroup(GroupTable):
         m = self.matrix()
         if rows.shape != m.shape:
             raise ValueError("the rows are not the group's elements")
-        keys = perms.row_keys(rows.astype(m.dtype, copy=False))
+        keys = perms.row_keys(rows)
         order = np.argsort(keys)
         if not np.array_equal(keys[order], self._sorted_keys):
             raise ValueError("the rows are not the group's elements")
@@ -717,14 +716,13 @@ class _InducedAction:
     A generator a conjugates the element matrix M in one gather,
     ``a[M[:, a^-1]]``, whose ids :meth:`PermGroup.ids_of` reads; these are
     the rows ``gen_rows``.  Two automorphisms are equal exactly when they
-    agree on ``G.generators``, so closing the rows on those k columns alone
-    gives A exactly: ``cols[i]`` holds element i's images of the generators,
-    and element i is generator ``gen_of[i]`` applied after element
-    ``parent_of[i]``.  A key is the k columns packed into one int64,
-    the digits of a base-|G| number, when |G|^k < 2^63, and one
-    :func:`perms.void_keys` scalar otherwise.  No (|A|, |G|) array is built:
-    a column a -> a(x) costs one |A|-sized gather per BFS layer, and the
-    full row of one element one |G|-sized gather per letter of its word."""
+    agree on ``G.generators``, so the orbit of that one row under the
+    generator rows (:func:`perms.bfs_closure`) is A exactly: ``cols[i]``
+    holds element i's images of the generators, and element i is generator
+    ``gen_of[i]`` applied after element ``parent_of[i]``, numbered
+    frontier-major.  No (|A|, |G|) array is built: a column a -> a(x) costs
+    one |A|-sized gather per BFS layer, and the full row of one element one
+    |G|-sized gather per letter of its word."""
 
     def __init__(self, G: PermGroup, aut_gens: Sequence[Perm]):
         n = G.size
@@ -739,29 +737,7 @@ class _InducedAction:
                 row[:] = G.ids_of(np.array(a, dtype=m.dtype)[m[:, a_inv]])
             except ValueError as exc:
                 raise ValueError("aut_action does not normalize the group") from exc
-        k = len(G.generators)
-        if n ** k < 2 ** 63:
-            radix = n ** np.arange(k, dtype=np.int64)
-            self.keys = lambda cols: cols.astype(np.int64) @ radix
-        else:
-            self.keys = perms.void_keys
-        # BFS layers, identity first: candidate g * f + i is frontier element
-        # i followed by generator g, and the first candidate with a key not
-        # seen before is the next element
-        frontier = np.array(G.generators, dtype=np.int32)[None]
-        found = [frontier]
-        seen = self.keys(frontier)  # sorted keys of every element so far
-        self.layers = []  # per layer, (generator, parent) index arrays
-        first = 0  # the frontier's first element
-        while len(frontier) and len(self.gen_rows):
-            cand = self.gen_rows[:, frontier].reshape(-1, k)
-            fresh, seen = perms.first_new_keys(seen, self.keys(cand))
-            g, i = np.divmod(fresh, len(frontier))
-            self.layers.append((g, first + i))
-            first += len(frontier)
-            frontier = cand[fresh]
-            found.append(frontier)
-        self.cols = np.concatenate(found)
+        self.cols, self.layers = perms.bfs_closure(self.gen_rows, [G.generators])
         self.order = len(self.cols)
         self.gen_of = np.concatenate([[0], *(g for g, _ in self.layers)]).tolist()
         self.parent_of = np.concatenate([[0], *(p for _, p in self.layers)]).tolist()
@@ -793,11 +769,13 @@ class _InducedAction:
         outside the subgroup generated so far, until that subgroup has every
         member.  Left multiplication by a chosen row permutes the members
         (read by their keys), and the subgroup the rows generate is the
-        orbit of the identity.  A itself is generated by ``gen_rows``."""
+        closure of the identity under these moves (:func:`_close`).  A itself
+        is generated by ``gen_rows``."""
         if len(members) == self.order:
             return list(self.gen_rows)
+        n = self.gen_rows.shape[1]
         cols = self.cols[members]
-        keys = self.keys(cols)
+        keys = perms.row_keys(cols, n)
         by_key = np.argsort(keys)
         keys = keys[by_key]
         rows: list[np.ndarray] = []
@@ -806,8 +784,8 @@ class _InducedAction:
         span[0] = True
         while not span.all():
             rows.append(self.row(int(members[np.argmin(span)])))
-            moves.append(by_key[np.searchsorted(keys, self.keys(rows[-1][cols]))])
-            span = perms.orbit_ids(len(members), moves)[0] == 0
+            moves.append(by_key[np.searchsorted(keys, perms.row_keys(rows[-1][cols], n))])
+            _close(span, moves, np.flatnonzero(span))
         return rows
 
 

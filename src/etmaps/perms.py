@@ -71,7 +71,8 @@ def power(p: Perm, k: int) -> Perm:
 
 def cycles(p: Perm) -> list[list[int]]:
     """Cycle decomposition including fixed points, each cycle from its least
-    point, cycles ordered by least point."""
+    point, cycles ordered by least point.  ValueError if a point is met
+    twice, as only a tuple that is not a permutation allows."""
     seen = [False] * len(p)
     out = []
     for start in range(len(p)):
@@ -81,6 +82,8 @@ def cycles(p: Perm) -> list[list[int]]:
         seen[start] = True
         j = p[start]
         while j != start:
+            if seen[j]:  # j has two preimages
+                raise ValueError(f"not a permutation: {p!r}")
             cyc.append(j)
             seen[j] = True
             j = p[j]
@@ -316,7 +319,7 @@ def is_primitive(degree: int, gens: Sequence[Perm]) -> bool:
 
 # -- closure / group order ----------------------------------------------------
 
-PACKED_DEGREE = 16  # up to here a point fits in 4 bits, a permutation in 64
+TABLE_CAP = 10**7  # the most elements an element table may have by default
 
 
 def row_dtype(degree: int) -> type:
@@ -324,18 +327,20 @@ def row_dtype(degree: int) -> type:
     return np.uint8 if degree <= 1 << 8 else np.uint16 if degree <= 1 << 16 else np.uint32
 
 
-def row_keys(rows: np.ndarray) -> np.ndarray:
-    """One sortable key per row of a (k, degree) permutation matrix, equal
-    exactly when the rows are.  Up to :data:`PACKED_DEGREE` points a row is
-    packed into a uint64 (point i in bits 4i..4i+3): the row, zero-padded to
-    16 points, two points per byte, read as one little-endian word.  Above
-    it the key is :func:`void_keys` of the row."""
-    k, degree = rows.shape
-    if degree > PACKED_DEGREE:
-        return void_keys(rows)
-    padded = np.zeros((k, PACKED_DEGREE), dtype=np.uint8)
-    padded[:, :degree] = rows
-    return (padded[:, 0::2] | padded[:, 1::2] << 4).view("<u8").ravel()
+def row_keys(rows: np.ndarray, base: int | None = None) -> np.ndarray:
+    """One sortable key per row of a (k, width) integer matrix whose entries
+    lie in [0, base), equal exactly when the rows are; ``base`` defaults to
+    the width, the case of permutations.  When base^width <= 2^64 the key is
+    the uint64 base-``base`` number whose digit i is entry i, so rows compare
+    from their last entry down.  Otherwise it is :func:`void_keys` of the
+    rows cast to :func:`row_dtype` (base), so that equal rows of any integer
+    dtype get equal keys."""
+    width = rows.shape[1]
+    base = width if base is None else base
+    if base ** width > 1 << 64:
+        return void_keys(rows.astype(row_dtype(base), copy=False))
+    radix = np.array([base ** i for i in range(width)], dtype=np.uint64)
+    return rows.astype(np.uint64) @ radix
 
 
 def void_keys(rows: np.ndarray) -> np.ndarray:
@@ -357,31 +362,44 @@ def first_new_keys(seen: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.n
     return np.sort(by_key[new]), np.insert(seen, at[new], keys[new])
 
 
-def bfs_closure(gens: Sequence[Perm]) -> np.ndarray:
-    """The elements of the generated group as the rows of a (|G|, degree)
-    matrix of dtype :func:`row_dtype`, in deterministic BFS order: by word
-    length, then by the position of the shorter word in its layer, then by
-    generator index, the first discovery of an element winning.
+def bfs_closure(gens: Sequence[Sequence[int]], start: Sequence[Sequence[int]] | None = None
+                ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The orbit of the distinct rows ``start`` (default: the identity,
+    whose orbit is the generated group) under x -> g[x] for every generator
+    row g, and its BFS tree.  Entries lie in [0, base), base the length of
+    a generator, and the rows come back in dtype :func:`row_dtype` (base),
+    in deterministic order: ``start``, then by distance, then by parent
+    position, then by generator index, the first discovery winning.  For
+    each layer after ``start`` the tree holds the generator index g and the
+    absolute parent row of each of its rows: row i of the layer is
+    ``gens[g[i]][rows[parent[i]]]``.  No generators or no start: the orbit
+    is ``start``.
 
-    One layer is one gather: row ``f * k + j`` of the candidates is frontier
-    row ``f`` followed by generator ``j``.  A generator need not be an
-    involution, so a candidate may lie in any earlier layer; candidates whose
-    key is in the sorted keys of all earlier layers are dropped, and of the
-    rest the first occurrence of each key, in candidate order, is the next
-    layer.  The numbering is that of the element-by-element BFS
-    (``docs/decisions.md``)."""
-    degree = len(gens[0])
-    gens = np.array(gens, dtype=row_dtype(degree))
-    layer = np.arange(degree, dtype=gens.dtype)[None]
-    layers = [layer]
-    seen = row_keys(layer)  # sorted keys of every layer so far
+    One layer is one gather: candidate ``f * k + j`` is frontier row ``f``
+    followed by generator ``j``.  A generator need not be an involution, so
+    candidates whose :func:`row_keys` key is in the sorted keys of any
+    earlier layer are dropped; of the rest the first occurrence of each key,
+    in candidate order, is the next layer (``docs/decisions.md``)."""
+    if start is None:
+        start = [range(len(gens[0]))]
+    if not len(gens) or not len(start):
+        return np.array(start), []
+    base = len(gens[0])
+    gens = np.array(gens, dtype=row_dtype(base))
+    layer = np.array(start, dtype=gens.dtype)
+    rows, tree = [layer], []
+    seen = np.sort(row_keys(layer, base))  # sorted keys of every layer so far
+    first = 0  # the frontier's first row
     while len(layer):
-        # compose(x, g)[i] = g[x[i]]: (k, f, degree) gathered, then frontier-major
-        cand = gens[:, layer].swapaxes(0, 1).reshape(-1, degree)
-        fresh, seen = first_new_keys(seen, row_keys(cand))
+        # g[x], for a permutation compose(x, g): (k, f, width) gathered, then frontier-major
+        cand = gens[:, layer].swapaxes(0, 1).reshape(-1, layer.shape[1])
+        fresh, seen = first_new_keys(seen, row_keys(cand, base))
+        parent, gen = np.divmod(fresh, len(gens))
+        tree.append((gen, first + parent))
+        first += len(layer)
         layer = cand[fresh]
-        layers.append(layer)
-    return np.concatenate(layers)
+        rows.append(layer)
+    return np.concatenate(rows), tree
 
 
 class _Level:
@@ -495,7 +513,7 @@ def order_exceeds(gens: Sequence[Perm], bound: int) -> bool:
     return _stabilizer_order(gens, bound) is None
 
 
-def group_order(spec: PermGroupSpec, cap: int | None = 10**7) -> int:
+def group_order(spec: PermGroupSpec, cap: int | None = TABLE_CAP) -> int:
     """Exact order of the generated group, from a stabilizer chain.  Raises
     :class:`CapExceeded` exactly when the order exceeds ``cap``; ``None`` is
     no cap."""

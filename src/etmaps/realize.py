@@ -18,7 +18,7 @@ from . import build, fields, groups, perms
 from .build import EpimorphismSpec, ORBIT_ROUTE
 from .fields import FiniteField, PSL2Element
 from .groups import PermGroup
-from .perms import CapExceeded, Perm
+from .perms import TABLE_CAP, CapExceeded, Perm
 
 
 class Unrealizable(Exception):
@@ -448,8 +448,8 @@ def psl2_perm_group(q_field: FiniteField) -> PermGroup:
     a group over the cap is refused before a stabilizer chain of degree
     q + 1 is built."""
     q = q_field.q
-    if q * (q * q - 1) // gcd(2, q - 1) > 10**7:
-        raise CapExceeded(10**7)
+    if q * (q * q - 1) // gcd(2, q - 1) > TABLE_CAP:
+        raise CapExceeded(TABLE_CAP)
     return PermGroup(fields.psl2_group_generators(q_field))
 
 
@@ -538,7 +538,7 @@ def nilpotent_chiral(e: int) -> Realization:
         raise Unrealizable("nilpotence classes 2..4 admit no chiral maps",
                            provenance="cited")
     # the generation test closes the whole group, so refuse it over the cap
-    groups._check_order(2, 2 * e + 1, 10**7)
+    groups._check_order(2, 2 * e + 1, TABLE_CAP)
     A = groups.GpefAlphaGroup(e)
     x = A._id(1, 0, 0)   # g
     y = A._id(0, 0, 1)   # alpha

@@ -146,7 +146,7 @@ def test_verify_positive_names_how_it_decided():
 
 def tuple_table(gens):
     """The element tuples in BFS order and the tuple -> id dict."""
-    elems = list(map(tuple, perms.bfs_closure(gens).tolist()))
+    elems = list(map(tuple, perms.bfs_closure(gens)[0].tolist()))
     return elems, dict(zip(elems, range(len(elems))))
 
 

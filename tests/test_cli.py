@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,27 @@ def test_console_script_declared():
     with pyproject.open("rb") as fh:
         meta = tomllib.load(fh)
     assert meta["project"]["scripts"]["etm"] == "etmaps.cli:main"
+
+
+def test_pyproject_reads_under_setuptools():
+    """setuptools 61 is the first to read PEP 621 ``[project]`` and
+    ``packages.find`` from pyproject.toml, the floor the build system pins.
+    An install also needs ``wheel``, which this does not test."""
+    setuptools = pytest.importorskip("setuptools")
+    if int(setuptools.__version__.split(".")[0]) < 61:
+        pytest.skip(f"setuptools {setuptools.__version__} predates PEP 621 support")
+    from setuptools.config.pyprojecttoml import read_configuration
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with warnings.catch_warnings():  # [tool.setuptools] is "beta" before 68
+        warnings.simplefilter("ignore")
+        conf = read_configuration(pyproject)
+    assert conf["build-system"]["requires"] == ["setuptools>=61"]
+    assert conf["project"]["name"] == "etmaps"
+    assert conf["project"]["scripts"] == {"etm": "etmaps.cli:main"}
+    tool = conf["tool"]["setuptools"]
+    assert tool["package-dir"] == {"": "src"}
+    assert "etmaps" in tool["packages"]
+    assert tool["package-data"] == {"etmaps": ["fixtures/*.json"]}
 
 
 def test_cycle_type_search_on_dihedral_is_input_error(tmp_path):

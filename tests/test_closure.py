@@ -4,7 +4,10 @@ element-by-element BFS it replaced, and the order cap of ``PermGroup``.
 ``python_closure`` is that BFS: from the identity, each frontier element in
 order is followed by each generator in order, and a new element is appended
 the first time it is seen.  The matrix must equal its list row by row, in
-order, not only as a set.
+order, not only as a set.  ``python_orbit`` is the same BFS from any start
+rows, under gathers, with its tree; it checks the closure's other callers'
+starts: tuples of element ids under conjugation and the induced action's
+columns.
 """
 
 import random
@@ -12,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from etmaps import fields, perms, realize
+from etmaps import fields, groups, perms, realize
 from etmaps.groups import PermGroup
 from etmaps.perms import CapExceeded
 from oracles import psl2_order
@@ -38,8 +41,87 @@ def python_closure(gens):
     return elements
 
 
+def python_orbit(gens, start):
+    """The orbit of the rows ``start`` under x -> g[x], in the BFS order of
+    ``python_closure``, and for every row after ``start`` the index of its
+    generator and of its parent row."""
+    rows = [tuple(x) for x in start]
+    seen = set(rows)
+    gen_of, parent_of = [], []
+    frontier = range(len(rows))
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for j, g in enumerate(gens):
+                y = tuple(g[i] for i in rows[f])
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(len(rows))
+                    rows.append(y)
+                    gen_of.append(j)
+                    parent_of.append(f)
+        frontier = nxt
+    return rows, gen_of, parent_of
+
+
+def assert_same_orbit(gens, start):
+    rows, tree = perms.bfs_closure(gens, start)
+    expected, gen_of, parent_of = python_orbit(gens, start)
+    assert rows.dtype == perms.row_dtype(len(gens[0]))
+    assert [tuple(row) for row in rows.tolist()] == expected
+    assert np.concatenate([g for g, _ in tree]).tolist() == gen_of
+    assert np.concatenate([p for _, p in tree]).tolist() == parent_of
+    # replaying the tree layer by layer rebuilds every row after the start
+    gens = np.array(gens)
+    at = len(start)
+    for g, parent in tree:
+        assert np.array_equal(rows[at:at + len(g)],
+                              gens[g[:, None], rows[parent]]), at
+        at += len(g)
+    assert at == len(rows)
+    return rows
+
+
+def test_orbit_of_cosets():
+    # x -> compose(x, g): the orbit of a start row is its right coset, and a
+    # start row inside an earlier row's coset is not found again
+    d4 = [realize.cycle(5, 1, 2, 3, 4), realize.involution(5, [(1, 3)])]
+    x = realize.cycle(5, 1, 5)
+    y = realize.cycle(5, 2, 5, 3)
+    assert len(assert_same_orbit(d4, [x])) == 8
+    assert len(assert_same_orbit(d4, [x, y, perms.compose(x, d4[0])])) == 16
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_orbit_of_id_tuples_under_conjugation(n):
+    G = realize.sym_group(n)
+    inv = groups.inverse_ids(G)
+    conj_g = groups.conjugation_generators(G, np.ones(G.size, dtype=bool), inv)
+    assert_same_orbit(conj_g, [(1, 2)])
+    tuples = [(1, 2, 3), (4, 5, 6), (2, 1, 3), (0, 7, 7)]
+    orbit = assert_same_orbit(conj_g, tuples)
+    for t in tuples:  # each start row's orbit is that of simultaneous conjugation
+        images = {tuple(G.conjugate(x, g) for x in t) for g in range(G.size)}
+        assert images <= set(map(tuple, orbit.tolist()))
+
+
+@pytest.mark.parametrize("q", [7, 8])
+def test_orbit_of_the_survey_start(q):
+    F = fields.FiniteField(*{7: (7, 1), 8: (2, 3)}[q])
+    G = realize.psl2_perm_group(F)
+    A = groups._InducedAction(G, fields.pgammal2_generators(F))
+    cols = assert_same_orbit(A.gen_rows.tolist(), [G.generators])
+    assert np.array_equal(cols, A.cols)
+    assert len(cols) == (2 if q == 7 else 3) * psl2_order(q)  # |PGammaL(2, q)|
+
+
+def test_orbit_without_generators_is_the_start():
+    rows, tree = perms.bfs_closure([], [(0, 1), (1, 0)])
+    assert rows.tolist() == [[0, 1], [1, 0]] and tree == []
+
+
 def assert_same_closure(gens):
-    got = perms.bfs_closure(gens)
+    got, _ = perms.bfs_closure(gens)
     assert got.dtype == perms.row_dtype(len(gens[0]))
     assert [tuple(row) for row in got.tolist()] == python_closure(gens), gens
     return got

@@ -178,19 +178,56 @@ def test_cycle_string_roundtrip():
         assert parse_cycles(perms.format_cycles(p), n) == p
 
 
-def shift_reduce_row_keys(rows):
-    """The packed row keys as one shift and OR-reduction per row: point i in
-    bits 4i..4i+3 of a uint64."""
-    shifts = np.arange(rows.shape[1], dtype=np.uint64) * np.uint64(4)
-    return np.bitwise_or.reduce(rows.astype(np.uint64) << shifts, axis=1)
+def radix_keys(rows, base):
+    """Row keys as Python ints: the base-``base`` number whose digit i is
+    entry i of the row."""
+    return [sum(x * base ** i for i, x in enumerate(row)) for row in rows.tolist()]
 
 
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 12))
-def test_row_keys_match_shift_reduce(seed, count):
+def test_row_keys_are_radix_numbers(seed, count):
     rng = np.random.default_rng(seed)
-    for degree in range(1, perms.PACKED_DEGREE + 1):
+    for degree in range(1, 18):
         rows = rng.permuted(np.tile(np.arange(degree, dtype=perms.row_dtype(degree)),
                                     (count, 1)), axis=1)
         keys = perms.row_keys(rows)
+        if degree <= 16:  # degree^degree <= 2^64
+            assert keys.dtype == np.uint64
+            assert keys.tolist() == radix_keys(rows, degree)
+            # the last point is the most significant digit
+            by_key = rows[np.argsort(keys, kind="stable")].tolist()
+            assert by_key == sorted(by_key, key=lambda row: row[::-1])
+        else:
+            assert keys.dtype.kind == "V"
+        assert len(set(keys.tolist())) == len(set(map(tuple, rows.tolist())))
+
+
+@pytest.mark.parametrize("base, width, packed", [
+    (16, 16, True), (17, 16, False), (2**32, 2, True), (2**32, 3, False)],
+    ids=["16^16", "17^16", "(2^32)^2", "(2^32)^3"])
+def test_row_keys_at_the_2_64_boundary(base, width, packed):
+    rows = np.array([[base - 1] * width, [0] * width, [base - 1] + [0] * (width - 1),
+                     [0] * (width - 1) + [base - 1], list(range(width))], dtype=np.int64)
+    keys = perms.row_keys(rows, base)
+    if packed:
         assert keys.dtype == np.uint64
-        assert keys.tolist() == shift_reduce_row_keys(rows).tolist()
+        assert keys.tolist() == radix_keys(rows, base)
+        assert keys[0] == 2**64 - 1
+    else:
+        assert keys.dtype.kind == "V"
+    assert len(set(keys.tolist())) == len(rows)
+
+
+@pytest.mark.parametrize("degree", [5, 17], ids=["packed", "void"])
+def test_row_keys_equal_across_dtypes(degree):
+    rows = np.array([np.roll(np.arange(degree), k) for k in range(degree)])
+    keys = [perms.row_keys(rows.astype(dtype)).tolist()
+            for dtype in (np.uint8, np.int32, np.int64)]
+    assert keys[0] == keys[1] == keys[2]
+
+
+@pytest.mark.parametrize("fn", [perms.format_cycles, sign, order_of, cycle_structure])
+def test_cycles_refuse_a_tuple_with_a_repeated_image(fn):
+    # the walk from 1 reaches the fixed point 0, which it must not append forever
+    with pytest.raises(ValueError, match="not a permutation"):
+        fn((0, 0, 1, 2, 3, 4))

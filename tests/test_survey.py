@@ -178,12 +178,12 @@ def inner_gens(G):
 
 def _wide_s5():
     """S5 given by ten generators, acting on itself by conjugation:
-    120^10 > 2^63, so the closure keys its rows by void scalars instead of
-    one int64."""
+    120^10 > 2^64, so the closure keys its rows by void scalars instead of
+    one uint64."""
     rng = random.Random(0)
     redundant = [tuple(rng.sample(range(5), 5)) for _ in range(8)]
     G = PermGroup(inner_gens(realize.sym_group(5)) + redundant)
-    assert len(G.generators) >= 10 and G.size ** len(G.generators) >= 2 ** 63
+    assert len(G.generators) >= 10 and G.size ** len(G.generators) > 2 ** 64
     return G, inner_gens(G)
 
 
@@ -334,7 +334,7 @@ def python_induced_action(G, aut_gens):
     """The induced action as it was built element by element: each generator
     conjugates every element through ``id_of``, and the closure gathers a
     full row for every candidate, deduplicated by its tuple on
-    ``G.generators``, candidates in generator-major, then frontier, order."""
+    ``G.generators``, candidates in frontier-major, then generator, order."""
     n = G.size
     gen_rows = []
     for a in aut_gens:
@@ -349,15 +349,14 @@ def python_induced_action(G, aut_gens):
     frontier = found[0]
     while len(frontier) and len(gen_rows):
         layer = []
-        for g in gen_rows:
-            images = g[frontier]  # row f: apply f, then g
-            fresh = []
-            for i, key in enumerate(map(tuple, images[:, key_cols].tolist())):
+        for f in frontier:
+            for g in gen_rows:
+                image = g[f]  # apply f, then g
+                key = tuple(image[key_cols].tolist())
                 if key not in seen:
                     seen.add(key)
-                    fresh.append(i)
-            layer.append(images[fresh])
-        frontier = np.concatenate(layer)
+                    layer.append(image)
+        frontier = np.array(layer, dtype=np.int32).reshape(-1, n)
         found.append(frontier)
     return np.concatenate(found)
 
