@@ -71,6 +71,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_op(args) -> int:
+    if args.operation != "join" and args.other is not None:
+        raise ValueError(f"{args.operation} takes one map, not two")
     m = _load_map(args.map)
     if args.operation == "dual":
         out = m.dual()

@@ -50,30 +50,17 @@ class _Tree(NamedTuple):
 
 
 def _spanning_tree(r: tuple[np.ndarray, ...], n: int) -> _Tree | None:
-    """The BFS tree of :class:`_Tree`, or None when it misses some flag."""
+    """The BFS tree of :class:`_Tree` (:func:`perms.point_closure` from flag
+    0), or None when it misses some flag."""
     if n == 0:
         return None
     images = np.stack(r, axis=1, dtype=np.int32)  # row x: r0[x], r1[x], r2[x]
-    unseen = 3 * n
-    # the least candidate position naming each flag; -1 for the root
-    first = np.full(n, unseen, dtype=np.int64)
-    first[0] = -1
+    reached = np.zeros(n, dtype=bool)
     parent = np.zeros(n, dtype=np.int32)
     gen = np.zeros(n, dtype=np.int8)
     chunks = []
-    frontier = np.zeros(1, dtype=np.int32)
-    reached = 1
-    while True:
-        # candidates in (frontier position, generator) order
-        cand = np.take(images, frontier, axis=0).ravel()
-        pos = np.flatnonzero(first[cand] == unseen)
-        if not pos.size:
-            break
-        np.minimum.at(first, cand[pos], pos)
-        pos = pos[first[cand[pos]] == pos]  # first discovery wins
-        children = cand[pos]
-        parents = frontier[pos // 3]
-        gens = pos % 3
+    for children, parents, gens in perms.point_closure(
+            images, reached, np.zeros(1, dtype=np.int32)):
         parent[children] = parents
         gen[children] = gens
         by_gen = np.argsort(gens, kind="stable")
@@ -83,11 +70,7 @@ def _spanning_tree(r: tuple[np.ndarray, ...], n: int) -> _Tree | None:
             if count:
                 chunks.append((s, kids[start:start + count], pars[start:start + count]))
                 start += count
-        reached += children.size
-        frontier = children
-    if reached != n:
-        return None
-    return _Tree(parent, gen, tuple(chunks))
+    return _Tree(parent, gen, tuple(chunks)) if reached.all() else None
 
 
 class FlagMap:
@@ -324,24 +307,18 @@ def aut_generators(m: FlagMap) -> tuple[list[np.ndarray], np.ndarray]:
     undecided = colors == colors[0]
     undecided[0] = False
     gens: list[np.ndarray] = []
-    gens_both: list[np.ndarray] = []  # generators and their inverses
+    # columns: the generators; Aut is finite, so their inverses add no point
+    images = np.empty((m.n, 0), dtype=np.int32)
     in_orbit = np.zeros(m.n, dtype=bool)
     in_orbit[0] = True
     ruled_out = np.zeros(m.n, dtype=bool)
 
     def close(mask, start):
         mask[start] = True
-        if not gens_both:
-            return
-        # reprocess everything marked: a newly found generator may map old
-        # orbit members to flags unreachable through unmarked nodes alone
-        frontier = np.nonzero(mask)[0]
-        while frontier.size:
-            reached = np.zeros(m.n, dtype=bool)
-            for g in gens_both:
-                reached[g[frontier]] = True
-            frontier = np.flatnonzero(reached & ~mask)
-            mask[frontier] = True
+        # from everything marked: a newly found generator may map old orbit
+        # members to flags unreachable through unmarked ones alone
+        for _ in perms.point_closure(images, mask, np.flatnonzero(mask)):
+            pass
 
     c = 0
     while undecided[c + 1:].any():
@@ -350,10 +327,8 @@ def aut_generators(m: FlagMap) -> tuple[list[np.ndarray], np.ndarray]:
         c += 1 + int(undecided[c + 1:].argmax())
         g, defect = _extension(m, m, c)
         if defect is None:
-            inv = np.empty(m.n, dtype=np.int64)
-            inv[g] = np.arange(m.n)
             gens.append(g)
-            gens_both.extend((g, inv))
+            images = np.concatenate((images, g[:, None]), axis=1, dtype=np.int32)
             close(in_orbit, 0)
             undecided &= ~in_orbit
             continue

@@ -13,17 +13,18 @@ phrased as extension questions on generating tuples
 (:func:`hom_extension_exists`), which covers outer automorphisms.  On
 permutation groups generation and extension are order tests on stabilizer
 chains (:func:`perms.order_exceeds`).  Other tables close subgroups over
-:meth:`GroupTable.right_mult` id arrays, one layer at a time, and walk the
-Cayley graph for extension (:func:`hom_extension`, which also returns the
-image array).  That walk remains for the table-only groups, and as the
-tests' oracle for the chain tests and for the class a built map falls
-into.  The one exception is :func:`simultaneous_inversion_survey` given
-permutations that induce Aut(G): it closes their action on the images of
-G's generators, which fix an automorphism, by the orbit BFS that also
-enumerates a permutation group's elements (:func:`perms.bfs_closure`, keyed
-by :func:`perms.row_keys`), and reads inversion at one representative per
-orbit off the coset of its stabilizer that inverts it, from the full rows
-of a few automorphisms only.
+:meth:`GroupTable.right_mult` id arrays by the one layered closure of
+points (:func:`perms.point_closure`, as do the centralizers, the index-2
+characters and flag maps), and walk the Cayley graph for extension
+(:func:`hom_extension`, which also returns the image array).  That walk
+remains for the table-only groups, and as the tests' oracle for the chain
+tests and for the class a built map falls into.  The one exception is
+:func:`simultaneous_inversion_survey` given permutations that induce
+Aut(G): it closes their action on the images of G's generators, which fix
+an automorphism, by the orbit BFS of rows (:func:`perms.bfs_closure`, as
+rows have no dense key space to mark), and reads inversion at one
+representative per orbit off the coset of its stabilizer that inverts it,
+from the full rows of a few automorphisms only.
 """
 
 from __future__ import annotations
@@ -49,24 +50,12 @@ def _exponents(value: list, arity: int) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _close(span: np.ndarray, mults: Sequence[np.ndarray], frontier: np.ndarray,
-           cap: int | None = None) -> int:
-    """Mark in the boolean id mask ``span`` everything reached from the ids
-    ``frontier`` by right multiplication with the id arrays ``mults``, one
-    layer at a time, and return the number of marked ids.  Ids marked on
-    entry count as reached.  A layer gathers the frontier's products only, so
-    its cost follows the frontier, not the group order.  :class:`CapExceeded`
-    as soon as a layer takes the count past ``cap``."""
-    count = int(np.count_nonzero(span))
-    while mults and len(frontier):
-        reached = np.concatenate([m[frontier] for m in mults])
-        reached = np.sort(reached[~span[reached]])
-        frontier = reached[np.diff(reached, prepend=-1) != 0]  # each id once
-        span[frontier] = True
-        count += len(frontier)
-        if cap is not None and count > cap and len(frontier):
-            raise CapExceeded(cap)
-    return count
+def _mult_columns(G: "GroupTable", elems: Sequence[int]) -> np.ndarray:
+    """The (|G|, k) int32 matrix whose column j is ``G.right_mult(elems[j])``."""
+    images = np.empty((G.size, len(elems)), dtype=np.int32)
+    for column, w in zip(images.T, elems):
+        column[:] = G.right_mult(w)
+    return images
 
 
 class GroupTable:
@@ -140,12 +129,12 @@ class GroupTable:
     def subgroup(self, seed: Iterable[int], cap: int | None = None) -> list[int]:
         """Sorted element ids of the subgroup generated by ``seed``: the
         identity closed under the seed's :meth:`right_mult` arrays by
-        :func:`_close`.  :class:`CapExceeded` as soon as the closure passes
-        ``cap`` elements."""
+        :func:`perms.point_closure`.  :class:`CapExceeded` as soon as the
+        closure passes ``cap`` elements."""
         span = np.zeros(self.size, dtype=bool)
-        span[0] = True
-        _close(span, [self.right_mult(s) for s in dict.fromkeys(seed)],
-               np.zeros(1, dtype=np.int64), cap)
+        images = _mult_columns(self, list(dict.fromkeys(seed)))
+        for _ in perms.point_closure(images, span, np.zeros(1, dtype=np.int64), cap):
+            pass
         return np.flatnonzero(span).tolist()
 
     def generates(self, seed: Iterable[int]) -> bool:
@@ -491,9 +480,9 @@ def normal_closure(G: GroupTable, seed: Iterable[int],
     conj = list(conjugators) + [G.inverse(c) for c in conjugators]
     gens = [s for s in dict.fromkeys(seed) if s != 0]
     members = np.zeros(G.size, dtype=bool)
-    members[0] = True
-    mults = [G.right_mult(s) for s in gens]
-    _close(members, mults, np.zeros(1, dtype=np.int64))
+    images = _mult_columns(G, gens)
+    for _ in perms.point_closure(images, members, np.zeros(1, dtype=np.int64)):
+        pass
     changed = True
     while changed:
         changed = False
@@ -502,8 +491,9 @@ def normal_closure(G: GroupTable, seed: Iterable[int],
                 x = G.conjugate(h, c)
                 if not members[x]:
                     gens.append(x)
-                    mults.append(G.right_mult(x))
-                    _close(members, mults, np.flatnonzero(members))
+                    images = np.hstack((images, _mult_columns(G, [x])))
+                    for _ in perms.point_closure(images, members, np.flatnonzero(members)):
+                        pass
                     changed = True
     return SubgroupSet(tuple(np.flatnonzero(members).tolist()), tuple(gens))
 
@@ -584,18 +574,16 @@ def conjugation_generators(G: GroupTable, members: np.ndarray,
     The set is chosen greedily: the least member outside the subgroup
     generated so far, whose closure grows by right multiplication gathers
     until it has every member.  No generators for the trivial subgroup."""
-    order = int(members.sum())
     span = np.zeros(G.size, dtype=bool)
     span[0] = True
-    count = 1
-    mults: list[np.ndarray] = []
+    images = _mult_columns(G, [])
     conj: list[np.ndarray] = []
-    while count < order:
-        g = int(np.flatnonzero(members & ~span)[0])
-        r = G.right_mult(g)
-        mults.append(r)
+    while (members & ~span).any():
+        r = G.right_mult(int((members & ~span).argmax()))
+        images = np.hstack((images, r[:, None].astype(np.int32)))
         conj.append(inv[r[inv[r]]])  # conjugation(G, g, inv), reusing r
-        count = _close(span, mults, np.flatnonzero(span))
+        for _ in perms.point_closure(images, span, np.flatnonzero(span)):
+            pass
     return conj
 
 
@@ -769,8 +757,8 @@ class _InducedAction:
         outside the subgroup generated so far, until that subgroup has every
         member.  Left multiplication by a chosen row permutes the members
         (read by their keys), and the subgroup the rows generate is the
-        closure of the identity under these moves (:func:`_close`).  A itself
-        is generated by ``gen_rows``."""
+        closure of the identity under these moves
+        (:func:`perms.point_closure`).  A itself is generated by ``gen_rows``."""
         if len(members) == self.order:
             return list(self.gen_rows)
         n = self.gen_rows.shape[1]
@@ -779,13 +767,15 @@ class _InducedAction:
         by_key = np.argsort(keys)
         keys = keys[by_key]
         rows: list[np.ndarray] = []
-        moves: list[np.ndarray] = []  # left multiplications, on member indices
+        moves = np.empty((len(members), 0), dtype=np.int64)  # left multiplications
         span = np.zeros(len(members), dtype=bool)
         span[0] = True
         while not span.all():
             rows.append(self.row(int(members[np.argmin(span)])))
-            moves.append(by_key[np.searchsorted(keys, perms.row_keys(rows[-1][cols], n))])
-            _close(span, moves, np.flatnonzero(span))
+            moves = np.column_stack(
+                (moves, by_key[np.searchsorted(keys, perms.row_keys(rows[-1][cols], n))]))
+            for _ in perms.point_closure(moves, span, np.flatnonzero(span)):
+                pass
         return rows
 
 
@@ -991,22 +981,18 @@ def _index2_characters(G: GroupTable) -> list[list[int]]:
     ids upward, each id whose class lies outside the span of D and the ids
     kept so far.  Bit i of a character's index (from 1) is its value on
     basis element i (``docs/decisions.md``)."""
-    mults: list[np.ndarray] = []
-    label = np.full(G.size, -1, dtype=np.int64)
-    label[0] = 0
+    images = _mult_columns(G, [])
+    label = np.zeros(G.size, dtype=np.int64)
+    reached = np.zeros(G.size, dtype=bool)
+    reached[0] = True
     for s in G.generators:
         # each generator kept at least doubles the span, so a label needs
         # at most log2 |G| bits
-        if label[s] >= 0:
+        if reached[s]:
             continue
-        mults.append(G.right_mult(s))
-        frontier = np.flatnonzero(label >= 0)
-        while len(frontier):
-            reached = np.concatenate([m[frontier] for m in mults])
-            bits = np.concatenate([label[frontier] ^ (1 << j) for j in range(len(mults))])
-            fresh = label[reached] < 0
-            frontier, first = np.unique(reached[fresh], return_index=True)
-            label[frontier] = bits[fresh][first]
+        images = np.hstack((images, _mult_columns(G, [s])))
+        for pts, parents, gen in perms.point_closure(images, reached, np.flatnonzero(reached)):
+            label[pts] = label[parents] ^ (1 << gen)
 
     # a GF(2) basis of (vector, coordinates over the greedy basis) pairs with
     # distinct leading bits, largest first; D's vectors have coordinates 0
@@ -1028,7 +1014,8 @@ def _index2_characters(G: GroupTable) -> list[list[int]]:
 
     # the defects, which span D, each once (sorted; a plain np.unique would
     # import numpy.ma on its first call, 20 ms)
-    defects = np.sort(np.ravel([label ^ (1 << j) ^ label[m] for j, m in enumerate(mults)]))
+    bits = 1 << np.arange(images.shape[1])
+    defects = np.sort((label[:, None] ^ bits ^ label[images]).ravel())
     for d in defects[np.diff(defects, prepend=-1) != 0].tolist():
         insert(d, 0)
     values, first, inverse = np.unique(label, return_index=True, return_inverse=True)

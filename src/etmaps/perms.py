@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -350,18 +350,6 @@ def void_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
-def first_new_keys(seen: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positions in ``keys`` of the first occurrence of each key that is
-    not in the sorted array ``seen``, ascending, and ``seen`` with those keys
-    inserted."""
-    by_key = np.argsort(keys, kind="stable")  # equal keys in position order
-    keys = keys[by_key]
-    at = np.searchsorted(seen, keys)
-    new = seen[np.minimum(at, len(seen) - 1)] != keys
-    new[1:] &= keys[1:] != keys[:-1]
-    return np.sort(by_key[new]), np.insert(seen, at[new], keys[new])
-
-
 def bfs_closure(gens: Sequence[Sequence[int]], start: Sequence[Sequence[int]] | None = None
                 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """The orbit of the distinct rows ``start`` (default: the identity,
@@ -393,13 +381,57 @@ def bfs_closure(gens: Sequence[Sequence[int]], start: Sequence[Sequence[int]] | 
     while len(layer):
         # g[x], for a permutation compose(x, g): (k, f, width) gathered, then frontier-major
         cand = gens[:, layer].swapaxes(0, 1).reshape(-1, layer.shape[1])
-        fresh, seen = first_new_keys(seen, row_keys(cand, base))
+        keys = row_keys(cand, base)
+        by_key = np.argsort(keys, kind="stable")  # equal keys in candidate order
+        keys = keys[by_key]
+        at = np.searchsorted(seen, keys)
+        # new: in no earlier layer, and the first of its run of equal keys
+        new = seen[np.minimum(at, len(seen) - 1)] != keys
+        new[1:] &= keys[1:] != keys[:-1]
+        fresh, seen = np.sort(by_key[new]), np.insert(seen, at[new], keys[new])
         parent, gen = np.divmod(fresh, len(gens))
         tree.append((gen, first + parent))
         first += len(layer)
         layer = cand[fresh]
         rows.append(layer)
     return np.concatenate(rows), tree
+
+
+def point_closure(images: np.ndarray, mark: np.ndarray, frontier: np.ndarray,
+                  cap: int | None = None) -> Iterator[tuple[np.ndarray, ...]]:
+    """Mark in the boolean array ``mark`` the points ``frontier`` and all
+    points reached from them under the columns of the (n, k) matrix
+    ``images`` (row x: g_0[x] ... g_{k-1}[x]), yielding each new layer lazily
+    as (points, parents, generators), point i being ``images[parents[i],
+    generators[i]]``.  Points marked on entry are never yielded.
+    :class:`CapExceeded` as soon as a layer takes the marked count past
+    ``cap``.  Candidate ``f * k + j`` of a layer is frontier point f then
+    generator j; the least unmarked candidate naming a point (``np.minimum.at``
+    on positions) is its first discovery, so layers need no sort
+    (``docs/decisions.md``)."""
+    k = images.shape[1]
+    mark[frontier] = True
+    count = int(np.count_nonzero(mark))
+    # the least candidate position naming each point (int32 where positions
+    # fit); a reached point is never a candidate again, so needs no reset
+    dtype = np.int32 if images.size < 1 << 31 else np.int64
+    first = np.full(len(mark), np.iinfo(dtype).max, dtype=dtype)
+    while len(frontier):
+        cand = np.take(images, frontier, axis=0).ravel()
+        pos = (~mark.take(cand)).nonzero()[0]
+        if not pos.size:
+            return
+        points = cand.take(pos)
+        np.minimum.at(first, points, pos.astype(dtype))  # one dtype: no slow cast
+        won = first.take(points) == pos
+        pos, points = pos.compress(won), points.compress(won)
+        mark.put(points, True)
+        count += len(points)
+        if cap is not None and count > cap:
+            raise CapExceeded(cap)
+        at, gen = np.divmod(pos, k)
+        yield points, frontier.take(at), gen
+        frontier = points
 
 
 class _Level:

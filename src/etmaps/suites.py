@@ -220,16 +220,17 @@ def _table1_psl2_expected(label: str, q: int) -> bool:
 
 def sym_witness(label: str, n: int) -> Realization:
     G = realize.sym_group(n)
-    if n == 2:
-        e, t = 0, G.id_of(realize.involution(2, [(1, 2)]))
-        shapes = {"1": ("1", {"R0": t, "R1": t, "R2": t}),
+    shape, ops = build.ORBIT_ROUTE[label]
+    if n <= 2 and shape in ("1", "2", "3", "4"):
+        if n == 1 and label != "1":
+            raise Unrealizable(f"S_1 is abelian or too small for class {label}")
+        e, t = 0, G.id_of(realize.involution(2, [(1, 2)])) if n == 2 else 0
+        shapes = {"1": ("1", {"R0": t, "R1": t, "R2": t}),  # n = 1: the one-flag map
                   "2": ("2", {"S1": e, "S2": t, "S3": e}),
                   "3": ("3", {"S0": e, "S1": t, "S2": t, "S3": t}),
                   "4": ("4", {"S1": e, "S2": t, "S": t})}
-        shape, _ = build.ORBIT_ROUTE[label]
         rep_shape, images = shapes[shape]
-        return Realization(label, EpimorphismSpec(rep_shape, G, images),
-                           build.ORBIT_ROUTE[label][1])
+        return Realization(label, EpimorphismSpec(rep_shape, G, images), ops)
     if label == "1":
         return realize.sym_class1(n)
     if label in ("2ex", "2sex"):
@@ -267,8 +268,8 @@ def suite_table1_sym() -> SuiteReport:
 def alt_witness(label: str, n: int) -> Realization:
     realize._check_degree(n)
     if label == "1":
-        if n == 2:
-            G = realize.alt_group(2)
+        if n <= 2:  # the one-flag map
+            G = realize.alt_group(n)
             return Realization("1", EpimorphismSpec("1", G,
                                                     {"R0": 0, "R1": 0, "R2": 0}), "")
         return realize.alt_class1(n)
@@ -286,6 +287,8 @@ def alt_witness(label: str, n: int) -> Realization:
     # classes 2, 2s, 2P, 3, 4, 4s, 4P
     if n < 4:
         raise realize.Unrealizable(f"A_{n} is abelian or too small for class {label}")
+    if n == 4 and label in ("2", "2s", "2P", "3"):
+        raise realize.Unrealizable(f"class {label} needs involutions generating A_4: V_4")
     if n == 4:
         G = realize.alt_group(4)
         e = 0

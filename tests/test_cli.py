@@ -102,6 +102,22 @@ def test_realize_unrealizable_is_reported(capsys):
     assert "unrealizable" in obj
 
 
+def test_realize_s2_in_class_5_is_unrealizable(capsys):
+    code, out = run_cli(["realize", "--family", "sym", "--n", "2", "--class", "5"],
+                        capsys=capsys)
+    assert code == 0
+    assert "unrealizable" in json.loads(out)
+
+
+@pytest.mark.parametrize("operation", ["dual", "petrie"])
+def test_op_with_a_second_map_is_input_error(capsys, tmp_path, operation):
+    from etmaps import classes
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(classes.basic_map("1").to_json()))
+    _assert_input_error_in_process(
+        capsys, ["op", operation, str(path), str(path)], operation, "one map")
+
+
 def test_realize_roundtrips_through_build(capsys, tmp_path):
     code, out = run_cli(["realize", "--family", "nilpotent-chiral", "--e", "4"],
                         capsys=capsys)

@@ -172,6 +172,33 @@ def test_alt_too_small_names_the_class_asked_for(label):
         assert build.search_epimorphisms(shape, realize.alt_group(n)).proved_empty
 
 
+@pytest.mark.parametrize("family, witness, expected, group", [
+    ("sym", suites.sym_witness, suites._table1_sym_expected, realize.sym_group),
+    ("alt", suites.alt_witness, suites._table1_alt_expected, realize.alt_group)])
+def test_witnesses_agree_with_table1_down_to_degree_one(family, witness, expected, group):
+    """Every cell from n = 1: a witness passing the exact test exactly where
+    Table 1 has the cell realizable, and Unrealizable everywhere else."""
+    for n in range(1, 9):
+        G = group(n)
+        for label in classes.LABELS:
+            if expected(label, n):
+                real = witness(label, n)
+                assert suites._verify_positive(real, want_aut=G.size)[0] == "realizable", \
+                    (family, n, label)
+            else:
+                with pytest.raises(Unrealizable):
+                    witness(label, n)
+    assert witness("1", 1).spec.image_tuple() == (0, 0, 0)  # the one-flag map
+
+
+@pytest.mark.parametrize("label", ["2", "2s", "2P", "3"])
+def test_a4_has_no_class_generated_by_involutions(label):
+    with pytest.raises(Unrealizable, match="V_4"):
+        suites.alt_witness(label, 4)
+    shape = build.ORBIT_ROUTE[label][0]
+    assert build.search_epimorphisms(shape, realize.alt_group(4)).proved_empty
+
+
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
 def test_alt_class1_certificates(n):
     r0, r1, r2 = realize.alt_class1_perms(n)
