@@ -101,9 +101,16 @@ _FAMILY_PARAM = {"sym": "n", "sym_even": "n", "alt": "n", "alt_small": "n",
                  "psl2": "q", "nilpotent_chiral": "e", "dihedral": "m"}
 
 
+def _check_label(label: str) -> None:
+    if label not in build.ORBIT_ROUTE:
+        raise ValueError(f"unknown class label {label!r}; the labels are "
+                         + ", ".join(classes.LABELS))
+
+
 def _cmd_realize(args) -> int:
     family = args.family.replace("-", "_")
     label = args.klass
+    _check_label(label)
     param = _FAMILY_PARAM.get(family)
     if param is not None and getattr(args, param) is None:
         raise ValueError(f"--family {args.family} needs --{param}")
@@ -140,9 +147,7 @@ def _cmd_realize(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.klass not in build.ORBIT_ROUTE:
-        raise ValueError(f"unknown class label {args.klass!r}; the labels are "
-                         + ", ".join(classes.LABELS))
+    _check_label(args.klass)
     if args.cap < 1:
         raise ValueError(f"cap must be a positive number of elements, not {args.cap}")
     G = groups.group_from_json(json.loads(_read(args.group)), cap=args.cap)

@@ -3,11 +3,12 @@
 A map is a transitive action of <R0, R1, R2 | Ri^2 = (R0 R2)^2 = 1> on its
 flags.  Vertices, edges and faces are the orbits of <r1,r2>, <r0,r2> and
 <r0,r1>; the automorphism group is the centralizer of the monodromy group in
-Sym(flags), computed here by color refinement plus exact extension tests.
+Sym(flags), computed here by exact extension tests, each failure pruning
+the candidates by the Schreier generator it exposes.
 
 Every map caches one BFS spanning tree of its flag graph from flag 0.  The
 extension walk and the orientation colouring run on it layer by layer as
-array gathers; a failed automorphism test walks its paths to build a word
+array gathers; a failed extension test walks its paths to build a word
 fixing flag 0.  The public constructor checks the involutions and builds the
 tree at once, since a tree that misses some flag is how disconnected triples
 are rejected.  Maps derived from a valid map or spec (dual, Petrie dual,
@@ -77,7 +78,7 @@ class FlagMap:
     """Immutable: n_flags, the three involution image arrays and the cached
     BFS spanning tree of the flag graph."""
 
-    __slots__ = ("n", "r", "_tree_memo", "_colors", "_aut", "_summary")
+    __slots__ = ("n", "r", "_tree_memo", "_aut", "_summary")
 
     def __init__(self, r0: Sequence[int], r1: Sequence[int], r2: Sequence[int]):
         arrs = []
@@ -101,7 +102,6 @@ class FlagMap:
         self.n = len(r[0])
         self.r = r
         self._tree_memo = tree
-        self._colors = None
         self._aut = None
         self._summary = None
 
@@ -223,33 +223,6 @@ def summary(m: FlagMap) -> MapSummary:
 
 # -- automorphisms -------------------------------------------------------------
 
-def _stable_colors(m: FlagMap) -> np.ndarray:
-    """Color refinement to a stable partition; automorphism orbits refine the
-    color classes, so colors are used only to prune candidates."""
-    if m._colors is not None:
-        return m._colors
-    idx = np.arange(m.n)
-    r0, r1, r2 = m.r
-    colors = ((r0 == idx).astype(np.int64)
-              + 2 * (r1 == idx)
-              + 4 * (r2 == idx)
-              + 8 * (r0[r2] == idx))
-    n_colors = int(np.count_nonzero(np.bincount(colors)))
-    # one colour is stable: every flag has the same key (c, c, c, c)
-    while n_colors > 1:
-        # rank the rows (c, c r0, c r1, c r2) lexicographically, one column
-        # at a time on 1-D keys
-        new, base = colors, int(colors.max()) + 1
-        for arr in m.r:
-            _, new = np.unique(new * base + colors[arr], return_inverse=True)
-        k = int(new.max()) + 1
-        if k == n_colors:
-            break
-        colors, n_colors = new, k
-    m._colors = colors
-    return colors
-
-
 def _extension(m1: FlagMap, m2: FlagMap,
                root2: int) -> tuple[np.ndarray, tuple[int, int] | None]:
     """The flag map a with a[0] = root2 extended along m1's spanning tree
@@ -289,22 +262,38 @@ def _path_to_root(m: FlagMap, x: int) -> list[int]:
     return word
 
 
+def _rule_out_moved(m_from: FlagMap, m_to: FlagMap, defect: tuple[int, int],
+                    undecided: np.ndarray) -> None:
+    """Drop from ``undecided`` every flag of m_to moved by the Schreier
+    generator of a failed extension from m_from into m_to: the monodromy
+    word σ of the closed walk 0 -> x -> r_s x -> 0 along m_from's tree,
+    where (s, x) is the defect.  σ fixes flag 0 of m_from, so an
+    isomorphism φ: m_from -> m_to has σ(φ(0)) = φ(σ(0)) = φ(0), and no image
+    of flag 0 is dropped; σ moves the failed root (docs/decisions.md)."""
+    s, x = defect
+    word = _path_to_root(m_from, x)[::-1] + [s] + _path_to_root(m_from, int(m_from.r[s][x]))
+    rest = np.flatnonzero(undecided)
+    image = rest
+    for t in word:
+        image = m_to.r[t][image]
+    undecided[rest[image != rest]] = False
+
+
 def aut_generators(m: FlagMap) -> tuple[list[np.ndarray], np.ndarray]:
     """Generators of Aut(m) and the orbit id array of its action on flags.
 
-    Each step tests the least candidate image c of flag 0 that is of the
-    colour of flag 0, outside the orbit generated so far, and not ruled out.
-    A failed test rules out the current orbit of c, and every candidate
-    moved by the Schreier generator its first defect names: a monodromy
-    word fixing flag 0 and moving c.  Only non-images are ruled out, so the
-    k-th generator is always the automorphism sending 0 to the least image
+    Each step tests the least candidate image c of flag 0 outside the orbit
+    generated so far and not ruled out; every flag but 0 starts as a
+    candidate.  A failed test rules out the current orbit of c, and every
+    candidate moved by the Schreier generator of its first defect
+    (:func:`_rule_out_moved`).  Only non-images are ruled out, so the k-th
+    generator is always the automorphism sending 0 to the least image
     outside the orbit of the first k - 1 (proof in docs/decisions.md).  Aut
     acts semiregularly: |Aut| = orbit size of flag 0.
     """
     if m._aut is not None:
         return m._aut
-    colors = _stable_colors(m)
-    undecided = colors == colors[0]
+    undecided = np.ones(m.n, dtype=bool)
     undecided[0] = False
     gens: list[np.ndarray] = []
     # columns: the generators; Aut is finite, so their inverses add no point
@@ -337,15 +326,7 @@ def aut_generators(m: FlagMap) -> tuple[list[np.ndarray], np.ndarray]:
         # whole current orbit of a failed candidate fails with it
         close(ruled_out, c)
         undecided &= ~ruled_out
-        # the closed walk 0 -> x -> r_s x -> 0 along the tree fixes flag 0,
-        # hence every image of 0, and it moves c
-        s, x = defect
-        word = _path_to_root(m, x)[::-1] + [s] + _path_to_root(m, int(m.r[s][x]))
-        rest = np.flatnonzero(undecided)
-        image = rest
-        for t in word:
-            image = m.r[t][image]
-        undecided[rest[image != rest]] = False
+        _rule_out_moved(m, m, defect, undecided)
     if 2 * np.count_nonzero(in_orbit) >= m.n:
         # every orbit of a semiregular action has the size of flag 0's, so
         # its complement is the other orbit, if any
@@ -391,28 +372,39 @@ def quotient_by_aut(m: FlagMap) -> FlagMap:
 
 # -- isomorphism and join ------------------------------------------------------
 
+def _fixed_counts(m: FlagMap) -> np.ndarray:
+    """How many flags have each fixed-point pattern: bit i set when r_i
+    fixes the flag, bit 3 when r0 r2 does.  Isomorphisms keep the pattern."""
+    idx = np.arange(m.n)
+    r0, r1, r2 = m.r
+    pattern = (r0 == idx) + 2 * (r1 == idx) + 4 * (r2 == idx) + 8 * (r0[r2] == idx)
+    return np.bincount(pattern, minlength=16)
+
+
 def is_isomorphic(m1: FlagMap, m2: FlagMap) -> bool:
-    if m1.n != m2.n:
+    if m1.n != m2.n or not np.array_equal(_fixed_counts(m1), _fixed_counts(m2)):
         return False
-    c1 = _stable_colors(m1)
-    c2 = _stable_colors(m2)
-    if sorted(np.bincount(c1).tolist()) != sorted(np.bincount(c2).tolist()):
-        return False
-    # color refinement is canonical, so an isomorphism maps a flag only to a
-    # flag of the same color
-    return _any_root_matches(m1, m2, np.nonzero(c1 == c2[0])[0])
+    return _any_root_matches(m1, m2, np.ones(m1.n, dtype=bool))
 
 
 def _any_root_matches(m1: FlagMap, m2: FlagMap, roots: np.ndarray) -> bool:
-    """Is there an isomorphism m2 -> m1 sending flag 0 to one of ``roots``?
+    """Is there an isomorphism m2 -> m1 sending flag 0 to a flag of the mask
+    ``roots``, which the search clears as it goes?  m1 and m2 have the same
+    number of flags, and the inverse of a match is an isomorphism m1 -> m2.
 
-    One root per Aut(m1)-orbit is enough: if a: m2 -> m1 sends 0 to r and h
-    is in Aut(m1), then h a sends 0 to h(r).  The first root of each orbit is
-    tried, and the inverse of a match is an isomorphism m1 -> m2."""
+    The least undecided root c is tested.  A failure rules out the
+    Aut(m1)-orbit of c (if a: m2 -> m1 sent 0 to h(c) with h in Aut(m1),
+    h^-1 a would send 0 to c), and every root moved by the Schreier
+    generator of the failure (:func:`_rule_out_moved`)."""
     _, orbit_ids = aut_generators(m1)
-    _, first = np.unique(orbit_ids[roots], return_index=True)
-    return any(_rooted_match(m2, m1, int(root)) is not None
-               for root in roots[np.sort(first)])
+    while roots.any():
+        c = int(roots.argmax())
+        _, defect = _extension(m2, m1, c)
+        if defect is None:
+            return True
+        roots &= orbit_ids != orbit_ids[c]
+        _rule_out_moved(m2, m1, defect, roots)
+    return False
 
 
 def orientation_classes(m: FlagMap) -> np.ndarray | None:
@@ -439,7 +431,7 @@ def is_isomorphic_oriented(m1: FlagMap, m2: FlagMap) -> bool:
         raise MapError("oriented isomorphism needs orientable maps without boundary")
     if m1.n != m2.n:
         return False
-    return _any_root_matches(m1, m2, np.nonzero(c1 == 0)[0])
+    return _any_root_matches(m1, m2, c1 == 0)
 
 
 def join(m1: FlagMap, m2: FlagMap) -> FlagMap:

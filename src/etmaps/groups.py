@@ -176,8 +176,8 @@ class PermGroup(GroupTable):
 
     def __init__(self, generators: Sequence[Perm], cap: int | None = TABLE_CAP):
         self._gens = [tuple(g) for g in generators]
+        self.size = perms.group_order(self._gens, cap)
         self.degree = len(self._gens[0])
-        self.size = perms.group_order(perms.group_spec(self._gens), cap)
         self._matrix: np.ndarray | None = None
         ident = tuple(range(self.degree))
         self._elems = {0: ident}  # the memo of met elements, both ways

@@ -8,7 +8,6 @@ converted at the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
 from typing import Iterable, Iterator, Sequence
@@ -145,27 +144,6 @@ def parse_cycles(s: str, degree: int) -> Perm:
 def format_cycles(p: Perm) -> str:
     parts = ["(" + ",".join(str(i + 1) for i in c) + ")" for c in cycles(p) if len(c) > 1]
     return "".join(parts) if parts else "()"
-
-
-@dataclass(frozen=True)
-class PermGroupSpec:
-    """A permutation group given by generators of a common degree."""
-
-    degree: int
-    generators: tuple[Perm, ...]
-
-    def __post_init__(self):
-        if not self.generators:
-            raise ValueError("at least one generator required")
-        for g in self.generators:
-            check_perm(g)
-            if len(g) != self.degree:
-                raise ValueError("generator degree mismatch")
-
-
-def group_spec(gens: Iterable[Sequence[int]]) -> PermGroupSpec:
-    gens = tuple(tuple(g) for g in gens)
-    return PermGroupSpec(len(gens[0]), gens)
 
 
 # -- orbits, blocks, primitivity ---------------------------------------------
@@ -545,11 +523,17 @@ def order_exceeds(gens: Sequence[Perm], bound: int) -> bool:
     return _stabilizer_order(gens, bound) is None
 
 
-def group_order(spec: PermGroupSpec, cap: int | None = TABLE_CAP) -> int:
-    """Exact order of the generated group, from a stabilizer chain.  Raises
+def group_order(gens: Iterable[Sequence[int]], cap: int | None = TABLE_CAP) -> int:
+    """Exact order of the group generated by ``gens``, at least one
+    permutation, all of one degree, from a stabilizer chain.  Raises
     :class:`CapExceeded` exactly when the order exceeds ``cap``; ``None`` is
     no cap."""
-    order = _stabilizer_order(spec.generators, cap)
+    gens = [check_perm(g) for g in gens]
+    if not gens:
+        raise ValueError("at least one generator required")
+    if any(len(g) != len(gens[0]) for g in gens):
+        raise ValueError("generator degree mismatch")
+    order = _stabilizer_order(gens, cap)
     if order is None:
         raise CapExceeded(cap)
     return order

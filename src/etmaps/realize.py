@@ -12,6 +12,7 @@ negative is catalog data beyond desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, isqrt
 
 from . import build, fields, groups, perms
@@ -71,7 +72,9 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"the degree n must be at least 1, not {n}")
 
 
-def _sym_group(n: int) -> PermGroup:
+@cache
+def sym_group(n: int) -> PermGroup:
+    """S_n, one per n, under the table cap."""
     _check_degree(n)
     if n == 1:
         return PermGroup([(0,)])
@@ -79,7 +82,10 @@ def _sym_group(n: int) -> PermGroup:
     return PermGroup(gens)
 
 
-def _alt_group(n: int) -> PermGroup:
+@cache
+def alt_group(n: int) -> PermGroup:
+    """A_n, one per n, with no cap: its element table is enumerated by the
+    first array call, so the witnesses at large n need none."""
     if n <= 2:
         gens = [tuple(range(max(n, 1)))]
     elif n == 3:
@@ -90,29 +96,10 @@ def _alt_group(n: int) -> PermGroup:
     return PermGroup(gens, cap=None)
 
 
-_GROUP_CACHE: dict[tuple[str, int], PermGroup] = {}
-
-
-def _cached(kind: str, n: int, make) -> PermGroup:
-    key = (kind, n)
-    if key not in _GROUP_CACHE:
-        _GROUP_CACHE[key] = make(n)
-    return _GROUP_CACHE[key]
-
-
-def sym_group(n: int) -> PermGroup:
-    return _cached("S", n, _sym_group)
-
-
-def alt_group(n: int) -> PermGroup:
-    """A_n, one per n, with no cap: its element table is enumerated by the
-    first array call, so the witnesses at large n need none."""
-    return _cached("A", n, _alt_group)
-
-
+@cache
 def psl2_group(q: int) -> PermGroup:
     """L_2(q) (:func:`psl2_perm_group`), one per q."""
-    return _cached("L", q, lambda q: psl2_perm_group(_field_of(q)))
+    return psl2_perm_group(_field_of(q))
 
 
 def _ids(G: PermGroup, *ps: Perm) -> list[int]:
@@ -469,17 +456,17 @@ def _field_of(q: int) -> FiniteField:
 
 
 def psl2_class1(q: int) -> Realization:
-    """Regular map with Aut = L_2(q): r1 antidiagonal, x = diag(a, 1/a) with a
-    primitive, z symmetric with trace zero against x."""
+    """Regular map with Aut = L_2(q).  For q = 2, 4 and 5 (L_2(2) = S_3 and
+    L_2(4) = L_2(5) = A_5) it is the first witness of the exhaustive class-1
+    search; from q = 8 on, r1 is antidiagonal, x = diag(a, 1/a) with a
+    primitive, and z symmetric with trace zero against x."""
     F = _field_of(q)
     if q in (3, 7, 9):
         raise Unrealizable(f"L_2({q}) is not a quotient of the full parent group",
                            provenance="exhausted")
+    G = psl2_group(q)
     if q <= 5:
-        raise Unrealizable(
-            f"L_2({q}) handled via exceptional isomorphisms with S_n/A_n")
-    if q != 8 and q < 11:
-        raise ValueError(f"unsupported q = {q}")
+        return _realization("1", G, build.search_epimorphisms("1", G).witnesses[0])
     one = 1
     minus_one = F.neg(one)
     r1m = PSL2Element(F, 0, one, minus_one, 0)
@@ -507,7 +494,6 @@ def psl2_class1(q: int) -> Realization:
     z = PSL2Element(F, ap, bp, bp, dp)
     r0 = x * r1m
     r2 = r1m * z
-    G = psl2_group(q)
     perms3 = [r0.to_permutation(), r1m.to_permutation(), r2.to_permutation()]
     ids = _ids(G, *perms3)
     real = _realization("1", G, dict(zip(("R0", "R1", "R2"), ids)))

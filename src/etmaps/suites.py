@@ -164,7 +164,7 @@ def suite_basic_maps() -> SuiteReport:
     for lab in ("4", "4s", "4P"):
         m = maps[lab]
         cases.append(_case(f"{lab}-aut", 2, flagmaps.aut_order(m), "catalog"))
-        mon = perms.group_order(perms.group_spec([m.perm(i) for i in range(3)]))
+        mon = perms.group_order([m.perm(i) for i in range(3)])
         cases.append(_case(f"{lab}-monodromy", 8, mon, "catalog: D_4"))
     for lab in classes.LABELS:
         got = classes.classify(maps[lab])
@@ -362,25 +362,16 @@ def suite_table1_psl2() -> SuiteReport:
                                        "exhausted (inversion survey)"))
                 continue
             if label == "1":
-                if q in class1_witness:
-                    real = class1_witness[q]
-                elif q in (8, 11, 13):
-                    real = realize.psl2_class1(q)
-                else:
-                    res = build.search_epimorphisms("1", G)
-                    real = Realization("1", EpimorphismSpec("1", G, res.witnesses[0]), "")
-                class1_witness[q] = real
-                cases.append(_case(cid, expected,
-                                   *_verify_positive(real, want_aut=G.size)))
+                class1_witness[q] = realize.psl2_class1(q)
+                cases.append(_case(cid, expected, *_verify_positive(
+                    class1_witness[q], want_aut=G.size)))
                 continue
             # classes 2, 2s, 2P, 3, 4, 4s, 4P
             if q not in class2_witness:
                 if q == 7:
                     class2_witness[q] = realize.psl2_class2_q7()
-                elif q in class1_witness or _table1_psl2_expected("1", q):
-                    base = class1_witness.get(q) or realize.psl2_class1(q)
-                    class1_witness.setdefault(q, base)
-                    class2_witness[q] = realize.propagate(base, "2")
+                elif q in class1_witness:
+                    class2_witness[q] = realize.propagate(class1_witness[q], "2")
                 else:  # q = 9: direct class-2 search
                     res = build.search_epimorphisms("2", G)
                     class2_witness[q] = Realization(

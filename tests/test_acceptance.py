@@ -173,7 +173,7 @@ def test_criterion_9d_jordan_orders_on_even_corpus():
         r0, r1, r2 = realize._sym_even_class1_perms(n)
         gens = [r0, r1, r2]
         assert perms.is_primitive(n, gens)
-        order = perms.group_order(perms.group_spec(gens), cap=math.factorial(n))
+        order = perms.group_order(gens, cap=math.factorial(n))
         assert order == math.factorial(n), (n, order)
         print(f"[9d jordan-closure] n={n}: |G| = {order} = {n}!")
     # Case 3 corpus (two coprime cycles): closure equals n! at n = 9

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import etmaps
-from etmaps import cli, realize
+from etmaps import classes, cli, flagmaps, realize
+from etmaps.flagmaps import FlagMap
 
 
 def run_cli(args, stdin_text=None, capsys=None):
@@ -359,6 +360,26 @@ def test_search_unknown_class_is_input_error(tmp_path):
     _assert_input_error(proc)
     assert "unknown class label '9'" in proc.stderr
     assert "2Pex" in proc.stderr and "5P" in proc.stderr
+
+
+def test_realize_unknown_class_is_input_error(tmp_path):
+    proc = run_module(["realize", "--family", "sym", "--class", "9", "--n", "5"],
+                      cwd=tmp_path)
+    _assert_input_error(proc)
+    assert "unknown class label '9'" in proc.stderr
+    assert "2Pex" in proc.stderr and "5P" in proc.stderr
+
+
+def test_realize_psl2_q4_is_the_a5_class1_map(capsys):
+    """L_2(4) = A_5 has a regular map; it is not reported unrealizable."""
+    code, out = run_cli(["realize", "--family", "psl2", "--q", "4", "--emit-map"],
+                        capsys=capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["class"], obj["label"], obj["ops"]) == ("1", "1", "")
+    assert obj["group"]["degree"] == 5 and "unrealizable" not in obj
+    m = FlagMap.from_json(obj["map"])
+    assert classes.classify(m) == "1" and flagmaps.aut_order(m) == m.n == 60
 
 
 def _assert_input_error_in_process(capsys, args, *needles):

@@ -145,7 +145,7 @@ def _psl2(q):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_symmetric_and_alternating(n):
-    assert len(assert_same_closure(_sym(n))) == perms.group_order(perms.group_spec(_sym(n)))
+    assert len(assert_same_closure(_sym(n))) == perms.group_order(_sym(n))
     assert_same_closure(_alt(n))
 
 
@@ -204,7 +204,7 @@ def test_more_than_256_points():
 @pytest.mark.parametrize("gens", [_sym(5), _alt(6), _psl2(7), [(0,)]],
                          ids=["S5", "A6", "L2(7)", "trivial"])
 def test_perm_group_cap_is_the_order(gens):
-    order = perms.group_order(perms.group_spec(gens))
+    order = perms.group_order(gens)
     assert PermGroup(gens, cap=order).size == order
     with pytest.raises(CapExceeded) as err:
         PermGroup(gens, cap=order - 1)

@@ -60,7 +60,7 @@ def test_psl2_orders_by_closure():
         F = next(FiniteField(p, e) for p in (2, 3, 5, 7, 11)
                  for e in (1, 2, 3) if p ** e == q)
         gens = psl2_group_generators(F)
-        assert perms.group_order(perms.group_spec(gens)) == psl2_order(q)
+        assert perms.group_order(gens) == psl2_order(q)
 
 
 def test_psl2_two_transitive_on_projective_line():
@@ -86,7 +86,7 @@ def test_pgammal_order():
     F = FiniteField(3, 2)
     gens = pgammal2_generators(F)
     # PGammaL(2,9) = Aut(PSL(2,9)) has order 1440
-    assert perms.group_order(perms.group_spec(gens)) == 1440
+    assert perms.group_order(gens) == 1440
 
 
 def _priminv_grid():

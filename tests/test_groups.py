@@ -48,6 +48,12 @@ def test_klein_four_from_permutations():
     spot_check(G)
 
 
+def test_perm_group_needs_a_generator():
+    for cap in (groups.TABLE_CAP, None):
+        with pytest.raises(ValueError, match="at least one generator required"):
+            PermGroup([], cap=cap)
+
+
 def test_symgps_class1_n4_gives_s4():
     real = realize.sym_class1(4)
     assert real.spec.group.size == 24

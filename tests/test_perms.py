@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from etmaps import perms
 from etmaps.perms import (CapExceeded, block_system, compose, cycle_structure,
-                          group_spec, identity, inverse, is_primitive,
+                          identity, inverse, is_primitive,
                           is_transitive, orbits, order_of, parity, parse_cycles,
                           power, sign)
 
@@ -122,7 +122,7 @@ def _brute_force_block_systems(degree, gens):
 def test_block_system_dihedral_hexagon():
     # the reflection through the edge (1,6): hexagon dihedral group of order 12
     gens = [P("(1,2,3,4,5,6)", 6), P("(1,6)(2,5)(3,4)", 6)]
-    assert perms.group_order(group_spec(gens)) == 12
+    assert perms.group_order(gens) == 12
     assert not is_primitive(6, gens)
     oracle = _brute_force_block_systems(6, gens)
     # blocks mod 2 (two blocks of 3) and mod 3 (three antipodal pairs)
@@ -156,20 +156,28 @@ def test_intransitive_primitivity_is_error():
 def test_group_order_symmetric(n):
     c = tuple(list(range(1, n)) + [0])
     t = P("(1,2)", n)
-    assert perms.group_order(group_spec([c, t])) == math.factorial(n)
+    assert perms.group_order([c, t]) == math.factorial(n)
 
 
 def test_group_order_a8_jordan_generators():
     c = P("(2,3,4,5,6,7,8)", 8)
     y = P("(1,2)(3,4)", 8)
-    assert perms.group_order(group_spec([c, y])) == math.factorial(8) // 2
+    assert perms.group_order([c, y]) == math.factorial(8) // 2
 
 
 def test_group_order_cap():
     c = tuple(list(range(1, 8)) + [0])
     t = P("(1,2)", 8)
     with pytest.raises(CapExceeded):
-        perms.group_order(group_spec([c, t]), cap=1000)
+        perms.group_order([c, t], cap=1000)
+
+
+def test_group_order_checks_its_generators():
+    for gens, message in (([], "at least one generator required"),
+                          ([(0, 1), (0, 1, 2)], "generator degree mismatch"),
+                          ([(0, 0)], "not a permutation")):
+        with pytest.raises(ValueError, match=message):
+            perms.group_order(gens)
 
 
 def test_cycle_string_roundtrip():

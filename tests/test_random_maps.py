@@ -4,16 +4,16 @@ connected flag triples.
 The triples are built from random edge blocks glued by a random r1: closed
 orientable ones, closed ones with an arbitrary r1 (mostly non-orientable),
 and ones with boundary, from 1 to about 200 flags.  Double covers of them
-have a nontrivial automorphism, so isomorphism tests see more than one
-automorphism orbit per colour class.  Two maps of 100,000 flags shaped as a
+have a nontrivial automorphism, so isomorphism tests see maps with more
+than one automorphism orbit.  Two maps of 100,000 flags shaped as a
 long path and a long cycle give spanning trees of depth 50,000 and more.
 
 The oracles are the Python walks these kernels replaced: the depth-first
-extension walk, the depth-first orientation 2-colouring, colour refinement
-ranking whole rows with ``np.unique(..., axis=0)``, the union-find on lists
-for the vertex, edge and face orbits, and the automorphism
-search that tested every candidate in turn after a random stabilizer
-filter, checked on maps of 300 to 10,080 flags.
+extension walk, the depth-first orientation 2-colouring, the union-find on
+lists for the vertex, edge and face orbits, and the automorphism search
+that tested every candidate of flag 0's colour in turn after a random
+stabilizer filter, with colours from refinement ranking whole rows by
+``np.unique(..., axis=0)``, checked on maps of 300 to 10,080 flags.
 
 Maps that the dual, the Petrie dual, the quotient, the join and
 ``build.build_map`` make without the public constructor's checks are
@@ -21,8 +21,10 @@ checked against that constructor, on the corpus and on built witnesses of
 every build shape.
 """
 
+import contextlib
 import itertools
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -126,7 +128,7 @@ def _filtered_aut_generators(m: FlagMap):
     candidate image of flag 0 in increasing order.  Above 256 candidates,
     8 random stabilizer words (24 random steps, then the tree path back to
     flag 0) first discard the candidates they move."""
-    colors = flagmaps._stable_colors(m)
+    colors = _row_colors(m)
     candidates = np.nonzero(colors == colors[0])[0]
     rng = random.Random(12345)
     for _ in range(8 if len(candidates) > 256 else 0):
@@ -296,10 +298,9 @@ def long_map(request) -> FlagMap:
     return _long_map(request.param == "cycle")
 
 
-def _long_map(cycle: bool) -> FlagMap:
-    """100,000 flags in a row: r0 = r2 pairs 2k with 2k+1, r1 pairs 2k+1
-    with 2k+2, and on the cycle also the last flag with flag 0."""
-    n = 100_000
+def _long_map(cycle: bool, n: int = 100_000) -> FlagMap:
+    """n flags in a row: r0 = r2 pairs 2k with 2k+1, r1 pairs 2k+1 with
+    2k+2, and on the cycle also the last flag with flag 0."""
     r0 = np.arange(n) ^ 1
     r1 = np.arange(n)
     r1[1:-1] = np.arange(1, n - 1) + np.where(np.arange(1, n - 1) % 2, 1, -1)
@@ -313,7 +314,7 @@ def test_corpus_covers_sizes_kinds_and_symmetry():
     kinds = {(flagmaps.summary(m).has_boundary, flagmaps.orientation_classes(m) is None)
              for m in CORPUS}
     assert kinds == {(False, False), (False, True), (True, True)}
-    assert any(flagmaps.aut_order(m) > 1 and len(set(flagmaps._stable_colors(m))) > 1
+    assert any(flagmaps.aut_order(m) > 1 and len(set(_row_colors(m))) > 1
                for m in CORPUS)
 
 
@@ -403,11 +404,6 @@ def test_orientation_classes_match_dfs():
         assert (fast is None) == (slow is None)
         if fast is not None:
             assert np.array_equal(fast, slow)
-
-
-def test_stable_colors_match_row_ranking():
-    for m in CORPUS:
-        assert np.array_equal(flagmaps._stable_colors(m), _row_colors(m))
 
 
 def _pairs(rng):
@@ -502,7 +498,7 @@ def _aut_oracle_maps():
 def test_aut_generators_match_filtered_search():
     sizes = []
     for m in _aut_oracle_maps():
-        colors = flagmaps._stable_colors(m)
+        colors = _row_colors(m)
         assert np.count_nonzero(colors == colors[0]) > 256
         gens, ids = _filtered_aut_generators(FlagMap(*m.r))
         fast_gens, fast_ids = flagmaps.aut_generators(m)
@@ -529,20 +525,92 @@ def _asymmetric_map(n_blocks: int, seed: int) -> FlagMap:
             continue
 
 
-def test_asymmetric_map_needs_few_extension_tests(monkeypatch):
-    m = _asymmetric_map(5000, 22)
-    assert m.n == 20_000 and len(set(flagmaps._stable_colors(m).tolist())) == 1
-    calls = []
+@pytest.fixture
+def extension_roots(monkeypatch) -> list[int]:
+    """The root of every extension test run while the test runs."""
+    roots = []
     extension = flagmaps._extension
 
     def counted(*args):
-        calls.append(args[2])
+        roots.append(args[2])
         return extension(*args)
 
     monkeypatch.setattr(flagmaps, "_extension", counted)
+    return roots
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Raise TimeoutError inside the block once ``seconds`` of wall time
+    have passed, so that a search gone quadratic fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_asymmetric_map_needs_few_extension_tests(extension_roots):
+    m = _asymmetric_map(5000, 22)
+    assert m.n == 20_000 and len(set(_row_colors(m).tolist())) == 1
     assert flagmaps.aut_order(m) == 1
     assert classes.classify(m) is None
-    assert len(calls) <= 4
+    assert len(extension_roots) <= 4
+
+
+def test_asymmetric_maps_compare_in_few_extension_tests(extension_roots):
+    """Every flag of these maps is a root; a failed test at root c rules out
+    c and every root its Schreier generator moves."""
+    a, b = _asymmetric_map(5000, 22), _asymmetric_map(5000, 23)
+    copy = _relabel(a, np.random.default_rng(7).permutation(a.n))
+    for m1, m2, verdict in ((a, b, False), (a, copy, True), (copy, a, True)):
+        extension_roots.clear()
+        assert flagmaps.is_isomorphic(m1, m2) == verdict
+        assert len(extension_roots) <= 8, (verdict, len(extension_roots))
+
+
+def test_long_path_needs_two_extension_tests(extension_roots):
+    """The test at flag 1 fails at r1 of flag 0; its Schreier generator r1
+    fixes only the two ends of the path, and the far end is the image."""
+    m = _long_map(False, 16_000)
+    with _deadline(10):
+        assert flagmaps.aut_order(m) == 2
+    assert extension_roots == [1, m.n - 1]
+
+
+def _fresh(m: FlagMap) -> FlagMap:
+    """The same map with nothing computed but its spanning tree."""
+    fresh = FlagMap._derived(*m.r)
+    fresh._tree_memo = m._tree
+    return fresh
+
+
+def test_long_map_aut_needs_two_extension_tests(long_map, extension_roots):
+    """The path as above; on the cycle flag 1 is the image of a reflection
+    and flag 2 of a rotation, which together reach every flag."""
+    m = _fresh(long_map)
+    cycle = m.r[1][0] != 0
+    with _deadline(30):
+        assert flagmaps.aut_order(m) == (m.n if cycle else 2)
+        assert extension_roots == ([1, 2] if cycle else [1, m.n - 1])
+        assert classes.classify(m) == ("1" if cycle else None)
+
+
+def test_long_map_against_its_petrie_dual_needs_no_extension_test(long_map,
+                                                                  extension_roots):
+    """r0 = r2, so r0 r2 fixes every flag of the map, and the Petrie dual's
+    r0, which is r0 r2, fixes every flag of the dual: the fixed-point counts
+    differ, and no root is tested."""
+    m = _fresh(long_map)
+    with _deadline(30):
+        assert not flagmaps.is_isomorphic(m, m.petrie())
+        assert not flagmaps.is_isomorphic(m.petrie(), m)
+    assert extension_roots == []
 
 
 def test_map_layer_makes_no_whole_map_orbit_labelling(monkeypatch):

@@ -68,8 +68,7 @@ def test_sym_even_case4_cycle_structure():
     r0, r1, r2 = realize._sym_even_class1_perms(18)
     w = perms.compose(r1, r2)
     assert perms.cycle_structure(w) == (1, 1, 2, 2, 5, 7)
-    assert perms.group_order(perms.group_spec([r0, r1, r2]),
-                             cap=math.factorial(18)) == math.factorial(18)
+    assert perms.group_order([r0, r1, r2], cap=math.factorial(18)) == math.factorial(18)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 9, 10, 11, 12, 13, 14])
@@ -79,8 +78,7 @@ def test_sym_even_class1_generates(n):
         assert perms.sign(r) == -1
         assert perms.is_involution(r)
     assert perms.compose(r0, r2) == perms.compose(r2, r0)
-    assert perms.group_order(perms.group_spec([r0, r1, r2]),
-                             cap=math.factorial(n)) == math.factorial(n)
+    assert perms.group_order([r0, r1, r2], cap=math.factorial(n)) == math.factorial(n)
 
 
 @pytest.mark.parametrize("n", [1, 5, 6])
@@ -206,8 +204,7 @@ def test_alt_class1_certificates(n):
         assert perms.sign(r) == 1
         assert perms.is_involution(r)
     assert perms.compose(r0, r2) == perms.compose(r2, r0)
-    assert perms.group_order(perms.group_spec([r0, r1, r2]),
-                             cap=math.factorial(n)) == math.factorial(n) // 2
+    assert perms.group_order([r0, r1, r2], cap=math.factorial(n)) == math.factorial(n) // 2
 
 
 def test_alt_chiral_commutator_checks():
@@ -262,6 +259,19 @@ def test_psl2_class1_rejects():
     for q in (3, 7, 9):
         with pytest.raises(Unrealizable):
             realize.psl2_class1(q)
+
+
+@pytest.mark.parametrize("q, order", [(2, 6), (4, 60), (5, 60)])
+def test_psl2_class1_small_q_is_the_search_witness(q, order):
+    """L_2(2) = S_3 and L_2(4) = L_2(5) = A_5 have class-1 maps: the first
+    witness of the exhaustive search, which the exact test accepts."""
+    real = realize.psl2_class1(q)
+    G = realize.psl2_group(q)
+    assert real.spec.group is G and G.size == order and real.ops == ""
+    assert real.spec.images == build.search_epimorphisms("1", G).witnesses[0]
+    assert suites._verify_positive(real, want_aut=order)[0] == "realizable"
+    m = real.build()
+    assert classes.classify(m) == "1" and flagmaps.aut_order(m) == order
 
 
 def test_field_of_finds_the_characteristic_by_trial_division():

@@ -88,7 +88,7 @@ def test_aut_order_matches_commuting_permutations():
         brute = _commuting_bijections(m, m)
         assert flagmaps.aut_order(m) == len(brute)
         assert flagmaps.automorphisms(m) == sorted(brute)
-        # the extension walk itself, without the colour pruning around it
+        # the extension walk itself, without the pruning around it
         by_image = {p[0]: p for p in brute}
         for c in range(m.n):
             a = flagmaps._rooted_match(m, m, c)

@@ -51,7 +51,7 @@ def test_order_matches_bfs_closure(seed):
         order = len(python_closure(gens))
         for degree in (len(gens[0]), perms.BYTE_DEGREE, perms.BYTE_DEGREE + 1):
             big = _embedded(gens, degree)
-            assert perms.group_order(perms.group_spec(big)) == order, (gens, degree)
+            assert perms.group_order(big) == order, (gens, degree)
             for bound in {0, 1, order // 2, order - 1, order, order + 1}:
                 assert perms.order_exceeds(big, bound) == (order > bound), \
                     (gens, degree, bound)
@@ -60,7 +60,7 @@ def test_order_matches_bfs_closure(seed):
 def test_int64_rows_give_the_order_of_tuples():
     # bytes() of an int64 array would read its 8-byte buffer, not its points
     for gens in _random_gen_sets(3, 80, 12):
-        order = perms.group_order(perms.group_spec(gens), cap=None)
+        order = perms.group_order(gens, cap=None)
         rows = np.array(gens, dtype=np.int64)
         assert perms._stabilizer_order(list(rows), None) == order, gens
         assert not perms.order_exceeds(rows, order) and perms.order_exceeds(rows, order - 1)
@@ -70,10 +70,10 @@ def test_int64_rows_give_the_order_of_tuples():
 def test_dihedral_order(n):
     rotation = tuple(list(range(1, n)) + [0])
     reflection = tuple((-i) % n for i in range(n))
-    assert perms.group_order(perms.group_spec([rotation, reflection])) == 2 * n
+    assert perms.group_order([rotation, reflection]) == 2 * n
     assert perms.order_exceeds([rotation, reflection], 2 * n - 1)
     assert not perms.order_exceeds([rotation, reflection], 2 * n)
-    assert perms.group_order(perms.group_spec([rotation])) == n
+    assert perms.group_order([rotation]) == n
 
 
 def test_generators_of_different_degrees_are_refused():
@@ -84,11 +84,10 @@ def test_generators_of_different_degrees_are_refused():
 
 def test_group_order_raises_exactly_above_cap():
     for gens in _random_gen_sets(7, 60, 7):
-        spec = perms.group_spec(gens)
         order = len(python_closure(gens))
-        assert perms.group_order(spec, cap=order) == order
+        assert perms.group_order(gens, cap=order) == order
         with pytest.raises(CapExceeded) as err:
-            perms.group_order(spec, cap=order - 1)
+            perms.group_order(gens, cap=order - 1)
         assert err.value.cap == order - 1
 
 
@@ -97,14 +96,14 @@ def test_order_matches_sympy():
     for gens in _random_gen_sets(11, 120, 12):
         want = combinatorics.PermutationGroup(
             [combinatorics.Permutation(list(g)) for g in gens]).order()
-        assert perms.group_order(perms.group_spec(gens), cap=10**12) == want, gens
+        assert perms.group_order(gens, cap=10**12) == want, gens
 
 
 def test_order_of_large_symmetric_groups():
     for n in (10, 12, 16):
         cycle = tuple(list(range(1, n)) + [0])
         swap = tuple([1, 0] + list(range(2, n)))
-        assert perms.group_order(perms.group_spec([cycle, swap]),
+        assert perms.group_order([cycle, swap],
                                  cap=10**20) == math.factorial(n)
 
 
