@@ -100,6 +100,10 @@ def cmd_realize(args) -> int:
 _FAMILY_PARAM = {"sym": "n", "sym_even": "n", "alt": "n", "alt_small": "n",
                  "psl2": "q", "nilpotent_chiral": "e", "dihedral": "m"}
 
+# the one class each single-class family realizes
+_FAMILY_CLASS = {"psl2_class2": "2", "nilpotent_chiral": "2Pex", "dihedral": "1",
+                 "edmonds_k8": "2Pex"}
+
 
 def _check_label(label: str) -> None:
     if label not in build.ORBIT_ROUTE:
@@ -109,8 +113,12 @@ def _check_label(label: str) -> None:
 
 def _cmd_realize(args) -> int:
     family = args.family.replace("-", "_")
-    label = args.klass
+    own = _FAMILY_CLASS.get(family)
+    label = args.klass if args.klass is not None else own or "1"
     _check_label(label)
+    if own is not None and label != own:
+        raise ValueError(f"--family {args.family} realizes class {own} only, "
+                         f"not {label}")
     param = _FAMILY_PARAM.get(family)
     if param is not None and getattr(args, param) is None:
         raise ValueError(f"--family {args.family} needs --{param}")
@@ -123,10 +131,7 @@ def _cmd_realize(args) -> int:
     elif family == "alt_small":
         real = realize.alt_small(label, args.n)
     elif family == "psl2":
-        if label != "1":
-            raise ValueError("--family psl2 realizes class 1; other classes "
-                             "propagate from it (see --family psl2-class2 for q=7)")
-        real = realize.psl2_class1(args.q)
+        real = suites.psl2_witness(label, args.q)
     elif family == "psl2_class2":
         real = realize.psl2_class2_q7()
     elif family == "nilpotent_chiral":
@@ -207,7 +212,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    help="sym | sym-even | alt | alt-small | psl2 | psl2-class2 | "
                         "nilpotent-chiral | dihedral | edmonds-k8")
-    p.add_argument("--class", dest="klass", default="1", help="class label")
+    p.add_argument("--class", dest="klass",
+                   help="class label (default: the family's own class, else 1)")
     p.add_argument("--n", type=int, help="degree for sym/alt families")
     p.add_argument("--q", type=int, help="prime power for psl2")
     p.add_argument("--e", type=int, help="exponent for nilpotent-chiral")

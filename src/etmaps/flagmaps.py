@@ -241,17 +241,6 @@ def _extension(m1: FlagMap, m2: FlagMap,
     return a, None
 
 
-def _rooted_match(m1: FlagMap, m2: FlagMap, root2: int) -> np.ndarray | None:
-    """The isomorphism commuting with all three involutions that sends flag 0
-    of m1 to flag root2 of m2, as a flag image array, or None.  It is unique
-    when it exists, since the flag action is connected.  With m1 = m2 it is
-    the automorphism sending flag 0 to root2."""
-    if m1.n != m2.n:
-        return None
-    a, defect = _extension(m1, m2, root2)
-    return a if defect is None else None
-
-
 def _path_to_root(m: FlagMap, x: int) -> list[int]:
     """The generator labels on the tree path from flag x back to flag 0."""
     parent, gen = m._tree.parent, m._tree.gen
@@ -395,13 +384,16 @@ def _any_root_matches(m1: FlagMap, m2: FlagMap, roots: np.ndarray) -> bool:
     The least undecided root c is tested.  A failure rules out the
     Aut(m1)-orbit of c (if a: m2 -> m1 sent 0 to h(c) with h in Aut(m1),
     h^-1 a would send 0 to c), and every root moved by the Schreier
-    generator of the failure (:func:`_rule_out_moved`)."""
-    _, orbit_ids = aut_generators(m1)
+    generator of the failure (:func:`_rule_out_moved`).  The Aut orbits are
+    found only once a root has failed: a match at the first root needs none."""
+    orbit_ids = None
     while roots.any():
         c = int(roots.argmax())
         _, defect = _extension(m2, m1, c)
         if defect is None:
             return True
+        if orbit_ids is None:
+            orbit_ids = aut_generators(m1)[1]
         roots &= orbit_ids != orbit_ids[c]
         _rule_out_moved(m2, m1, defect, roots)
     return False

@@ -13,8 +13,8 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
-from math import factorial
 
 from . import build, classes, fields, flagmaps, groups, perms, realize
 from .build import EpimorphismSpec
@@ -183,6 +183,58 @@ def suite_basic_maps() -> SuiteReport:
     return SuiteReport("basic-maps", cases)
 
 
+# -- Tables 1 and 3 --------------------------------------------------------------
+
+@functools.cache
+def _search(label: str, G: groups.PermGroup, even: bool,
+            up_to_cycle_type: bool) -> build.SearchResult:
+    """``build.search_epimorphisms`` with its first witness, run once per key
+    in a process: the table suites and ``a7-2ex`` share these proofs."""
+    return build.search_epimorphisms(label, G, even=even,
+                                     up_to_cycle_type=up_to_cycle_type)
+
+
+@functools.cache
+def _pgammal_survey(q: int) -> groups.SurveyReport:
+    """The inversion survey of L_2(q) under PΓL(2, q), run once per q."""
+    return groups.simultaneous_inversion_survey(
+        realize.psl2_group(q), fields.pgammal2_generators(realize._field_of(q)))
+
+
+def _table_row(name: str, G: groups.PermGroup, expected, witness, refute,
+               even: bool = False) -> list[Case]:
+    """The cells of one group in Table 1, or in Table 3 with ``even``: one
+    case per class label, in ``classes.LABELS`` order, with id
+    ``{name}-{label}`` (``-even`` appended in Table 3).
+
+    ``witness(label)`` returns a realization, checked by
+    :func:`_verify_positive` against Aut = G, or raises ``Unrealizable``;
+    then ``refute(label)`` gives (proved empty, provenance) from an
+    exhaustive proof.  The observed verdict never reads ``expected(label)``,
+    which is only compared with it."""
+    yes = "evenly realizable" if even else "realizable"
+    cases = []
+    for label in classes.LABELS:
+        try:
+            real = witness(label)
+        except Unrealizable:
+            empty, source = refute(label)
+            observed = "unrealizable" if empty else yes
+        else:
+            observed, source = _verify_positive(real, G.size, even)
+            if observed == "realizable":
+                observed = yes
+        cases.append(_case(f"{name}-{label}" + ("-even" if even else ""),
+                           yes if expected(label) else "unrealizable",
+                           observed, source))
+    return cases
+
+
+def _refute_by_search(label: str, G: groups.PermGroup) -> tuple[bool, str]:
+    """Table 1 over S_n or A_n: the search of the label's shape."""
+    return _search(build.ORBIT_ROUTE[label][0], G, False, True).proved_empty, "exhausted"
+
+
 # -- Table 1 ---------------------------------------------------------------------
 
 def _table1_sym_expected(label: str, n: int) -> bool:
@@ -244,24 +296,10 @@ def sym_witness(label: str, n: int) -> Realization:
 
 def suite_table1_sym() -> SuiteReport:
     cases = []
-    searched: dict[tuple[str, int], bool] = {}
     for n in range(2, 9):
         G = realize.sym_group(n)
-        for label in classes.LABELS:
-            cid = f"S{n}-{label}"
-            expected = "realizable" if _table1_sym_expected(label, n) else "unrealizable"
-            if expected == "realizable":
-                real = sym_witness(label, n)
-                cases.append(_case(cid, expected,
-                                   *_verify_positive(real, want_aut=G.size)))
-            else:
-                shape, _ = build.ORBIT_ROUTE[label]
-                key = (shape, n)
-                if key not in searched:
-                    res = build.search_epimorphisms(shape, G, up_to_cycle_type=True)
-                    searched[key] = res.proved_empty
-                observed = "unrealizable" if searched[key] else "realizable"
-                cases.append(_case(cid, expected, observed, "exhausted"))
+        cases += _table_row(f"S{n}", G, partial(_table1_sym_expected, n=n),
+                            partial(sym_witness, n=n), partial(_refute_by_search, G=G))
     return SuiteReport("table1-sym", cases)
 
 
@@ -306,82 +344,58 @@ def alt_witness(label: str, n: int) -> Realization:
 
 def suite_table1_alt() -> SuiteReport:
     cases = []
-    searched: dict[tuple[str, int], bool] = {}
     for n in range(2, 11):
-        for label in classes.LABELS:
-            cid = f"A{n}-{label}"
-            expected = "realizable" if _table1_alt_expected(label, n) else "unrealizable"
-            if expected == "realizable":
-                real = alt_witness(label, n)
-                cases.append(_case(cid, expected,
-                                   *_verify_positive(real, want_aut=factorial(n) // 2)))
-            else:
-                G = realize.alt_group(n)
-                shape, _ = build.ORBIT_ROUTE[label]
-                key = (shape, n)
-                if key not in searched:
-                    res = build.search_epimorphisms(shape, G, up_to_cycle_type=True)
-                    searched[key] = res.proved_empty
-                observed = "unrealizable" if searched[key] else "realizable"
-                cases.append(_case(cid, expected, observed, "exhausted"))
+        G = realize.alt_group(n)
+        cases += _table_row(f"A{n}", G, partial(_table1_alt_expected, n=n),
+                            partial(alt_witness, n=n), partial(_refute_by_search, G=G))
     return SuiteReport("table1-alt", cases)
 
 
-@functools.cache
-def _pgammal2_generators(q: int) -> list[perms.Perm]:
-    return fields.pgammal2_generators(realize._field_of(q))
+def psl2_witness(label: str, q: int) -> Realization:
+    """A map in class ``label`` with Aut = L_2(q), or ``Unrealizable``.
+
+    Class 1 is :func:`realize.psl2_class1`.  Classes 2, 2*, 2P share one
+    class-2 triple: the bespoke one at q = 7, else propagated from class 1,
+    else (q = 9) the first the class-2 search finds; 3, 4, 4*, 4P propagate
+    from it.  No class of the 2ex or 5 families occurs: every generating
+    pair of L_2(q) is inverted by an automorphism (Singerman), which the
+    ``singerman`` suite surveys on the grid."""
+    G = realize.psl2_group(q)  # refuses a q that is no prime power, or over the cap
+    shape, ops = build.ORBIT_ROUTE[label]
+    if q == 3:  # L_2(3) is A_4 on the same four points
+        return alt_witness(label, 4)
+    if shape in ("2ex", "2Pex", "5"):
+        raise Unrealizable(f"every generating pair of L_2({q}) is inverted by "
+                           "an automorphism", provenance="cited")
+    if label == "1":
+        return realize.psl2_class1(q)
+    if q == 7:
+        base = realize.psl2_class2_q7()
+    else:
+        try:
+            base = realize.propagate(realize.psl2_class1(q), "2")
+        except Unrealizable:
+            base = Realization("2", EpimorphismSpec(
+                "2", G, _search("2", G, False, False).witnesses[0]), "")
+    if shape == "2":
+        return Realization(label, base.spec, ops)
+    return realize.propagate(base, label)
+
+
+def _psl2_refute(label: str, q: int) -> tuple[bool, str]:
+    shape = build.ORBIT_ROUTE[label][0]
+    if shape in ("2ex", "2Pex", "5"):
+        return _pgammal_survey(q).all_inverted, "exhausted (inversion survey)"
+    return (_search(shape, realize.psl2_group(q), False, False).proved_empty,
+            "exhausted")
 
 
 def suite_table1_psl2() -> SuiteReport:
     cases = []
-    surveys: dict[int, groups.SurveyReport] = {}
-
-    def survey(q: int) -> groups.SurveyReport:
-        if q not in surveys:
-            surveys[q] = groups.simultaneous_inversion_survey(
-                realize.psl2_group(q), _pgammal2_generators(q))
-        return surveys[q]
-
-    class1_witness: dict[int, Realization] = {}
-    class2_witness: dict[int, Realization] = {}
     for q in _PSL2_GRID:
-        G = realize.psl2_group(q)
-        for label in classes.LABELS:
-            cid = f"L2({q})-{label}"
-            expected = "realizable" if _table1_psl2_expected(label, q) else "unrealizable"
-            shape, _ = build.ORBIT_ROUTE[label]
-            if expected == "unrealizable":
-                if label == "1":
-                    res = build.search_epimorphisms("1", G)
-                    observed = "unrealizable" if res.proved_empty else "realizable"
-                    cases.append(_case(cid, expected, observed, "exhausted"))
-                else:
-                    rep = survey(q)
-                    observed = "unrealizable" if rep.all_inverted else "realizable"
-                    cases.append(_case(cid, expected, observed,
-                                       "exhausted (inversion survey)"))
-                continue
-            if label == "1":
-                class1_witness[q] = realize.psl2_class1(q)
-                cases.append(_case(cid, expected, *_verify_positive(
-                    class1_witness[q], want_aut=G.size)))
-                continue
-            # classes 2, 2s, 2P, 3, 4, 4s, 4P
-            if q not in class2_witness:
-                if q == 7:
-                    class2_witness[q] = realize.psl2_class2_q7()
-                elif q in class1_witness:
-                    class2_witness[q] = realize.propagate(class1_witness[q], "2")
-                else:  # q = 9: direct class-2 search
-                    res = build.search_epimorphisms("2", G)
-                    class2_witness[q] = Realization(
-                        "2", EpimorphismSpec("2", G, res.witnesses[0]), "")
-            base2 = class2_witness[q]
-            if label in ("2", "2s", "2P"):
-                real = Realization(label, base2.spec, build.ORBIT_ROUTE[label][1])
-            else:
-                real = realize.propagate(base2, label)
-            cases.append(_case(cid, expected, *_verify_positive(real, want_aut=G.size)))
+        cases += _table_row(f"L2({q})", realize.psl2_group(q),
+                            partial(_table1_psl2_expected, q=q),
+                            partial(psl2_witness, q=q), partial(_psl2_refute, q=q))
     # N46.3 cross-check
     real = realize.psl2_class1(11)
     m = real.build()
@@ -426,59 +440,42 @@ def _table3_alt_expected(label: str, n: int) -> bool:
     return False
 
 
+def _sym_even_refute(label: str, n: int) -> tuple[bool, str]:
+    source = "exhausted (parity-constrained search)"
+    if (label, n) in _TABLE3_SYM_DEPARTURES:
+        source += "; departs from the source table (n >= 3), see docs/decisions.md"
+    return _search(label, realize.sym_group(n), True, True).proved_empty, source
+
+
+def _alt_even_witness(label: str, n: int) -> Realization:
+    """A_n has no index-2 subgroup, so only the classes whose parent group
+    lies in the even subgroup (2Pex, 5, 5*) are evenly realizable, by the
+    Table 1 witnesses."""
+    if build.EVEN_SIGNS[label] is not None:
+        raise Unrealizable(f"A_{n} has no index-2 subgroup")
+    return alt_witness(label, n)
+
+
+def _alt_even_refute(label: str, n: int) -> tuple[bool, str]:
+    G = realize.alt_group(n)
+    if build.EVEN_SIGNS[label] is None:
+        return _refute_by_search(label, G)
+    return _search(label, G, True, False).proved_empty, "exhausted (no index-2 subgroup)"
+
+
 def suite_table3() -> SuiteReport:
     cases = []
     for n in range(2, 9):
-        G = realize.sym_group(n)
-        for label in classes.LABELS:
-            cid = f"S{n}-{label}-even"
-            expected = ("evenly realizable" if _table3_sym_expected(label, n)
-                        else "unrealizable")
-            observed, source = _table3_sym_observed(label, n, G)
-            if (label, n) in _TABLE3_SYM_DEPARTURES:
-                source += ("; departs from the source table (n >= 3), "
-                           "see docs/decisions.md")
-            cases.append(_case(cid, expected, observed, source))
+        cases += _table_row(f"S{n}", realize.sym_group(n),
+                            partial(_table3_sym_expected, n=n),
+                            partial(realize.sym_even, n=n),
+                            partial(_sym_even_refute, n=n), even=True)
     for n in range(2, 9):
-        for label in classes.LABELS:
-            cid = f"A{n}-{label}-even"
-            expected = ("evenly realizable" if _table3_alt_expected(label, n)
-                        else "unrealizable")
-            observed, source = _table3_alt_observed(label, n)
-            cases.append(_case(cid, expected, observed, source))
+        cases += _table_row(f"A{n}", realize.alt_group(n),
+                            partial(_table3_alt_expected, n=n),
+                            partial(_alt_even_witness, n=n),
+                            partial(_alt_even_refute, n=n), even=True)
     return SuiteReport("table3", cases)
-
-
-def _table3_sym_observed(label: str, n: int, G) -> tuple[str, str]:
-    try:
-        real = realize.sym_even(label, n)
-    except Unrealizable:
-        real = None
-    if real is not None:
-        out, source = _verify_positive(real, want_aut=G.size, even=True)
-        return ("evenly realizable" if out == "realizable" else out), source
-    res = build.search_epimorphisms(label, G, even=True, up_to_cycle_type=True)
-    if res.proved_empty:
-        return "unrealizable", "exhausted (parity-constrained search)"
-    return "evenly realizable", "exhausted search found a witness"
-
-
-def _table3_alt_observed(label: str, n: int) -> tuple[str, str]:
-    if label in ("2Pex", "5", "5s"):
-        # these classes are automatically even; reuse the Table 1 machinery
-        if _table1_alt_expected(label, n):
-            real = alt_witness(label, n)
-            out, source = _verify_positive(real, want_aut=factorial(n) // 2, even=True)
-            return ("evenly realizable" if out == "realizable" else out), source
-        G = realize.alt_group(n)
-        shape, _ = build.ORBIT_ROUTE[label]
-        res = build.search_epimorphisms(shape, G, up_to_cycle_type=True)
-        return (("unrealizable", "exhausted") if res.proved_empty
-                else ("evenly realizable", "exhausted"))
-    G = realize.alt_group(n)
-    res = build.search_epimorphisms(label, G, even=True)
-    return (("unrealizable", "exhausted (no index-2 subgroup)") if res.proved_empty
-            else ("evenly realizable", "search"))
 
 
 # -- small lemma suites --------------------------------------------------------------
@@ -496,10 +493,10 @@ def suite_small_sn() -> SuiteReport:
 
 def suite_a7_2ex() -> SuiteReport:
     G = realize.alt_group(7)
-    res = build.search_epimorphisms("2Pex", G, up_to_cycle_type=True)
+    res = _search("2Pex", G, False, True)
     cases = [_case("A7-2Pex-empty", True, res.proved_empty,
                    f"exhausted: {res.examined} tuples examined")]
-    res5 = build.search_epimorphisms("5", G, up_to_cycle_type=True)
+    res5 = _search("5", G, False, True)
     cases.append(_case("A7-5-nonempty", True, bool(res5.witnesses),
                        "A7 in the 5 family"))
     return SuiteReport("a7-2ex", cases)
@@ -507,9 +504,8 @@ def suite_a7_2ex() -> SuiteReport:
 
 def suite_singerman() -> SuiteReport:
     cases = []
-    for q in (5, 7, 8, 9, 11, 13):
-        rep = groups.simultaneous_inversion_survey(realize.psl2_group(q),
-                                                   _pgammal2_generators(q))
+    for q in _PSL2_GRID:
+        rep = _pgammal_survey(q)
         cases.append(_case(
             f"L2({q})-generating-pairs-inverted", True, rep.all_inverted,
             f"exhausted: {rep.generating_pairs} generating pairs, Aut = PGammaL"))

@@ -514,3 +514,33 @@ def test_realize_sym_even_names_the_degree_asked_for(capsys):
     assert code == 0
     reason = json.loads(out)["unrealizable"]
     assert "S_1" in reason and "S_5" not in reason
+
+
+@pytest.mark.parametrize("args, own, label", [
+    (["--family", "dihedral", "--m", "3"], "1", "2"),
+    (["--family", "psl2-class2"], "2", "1"),
+    (["--family", "nilpotent-chiral", "--e", "4"], "2Pex", "1"),
+    (["--family", "edmonds-k8"], "2Pex", "4")])
+def test_single_class_family_refuses_another_class(capsys, args, own, label):
+    _assert_input_error_in_process(
+        capsys, ["realize", *args, "--class", label],
+        f"realizes class {own} only, not {label}")
+    code, out = run_cli(["realize", *args], capsys=capsys)  # its own class by default
+    assert code == 0
+    obj = json.loads(out)
+    assert {r["label"] for r in (obj if isinstance(obj, list) else [obj])} == {own}
+
+
+@pytest.mark.parametrize("q, label", [(11, "4"), (9, "2P"), (7, "3"), (3, "4s")])
+def test_realize_psl2_every_class(capsys, q, label):
+    code, out = run_cli(["realize", "--family", "psl2", "--q", str(q),
+                         "--class", label], capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["label"] == label
+
+
+def test_realize_psl2_never_in_the_2ex_or_5_families(capsys):
+    code, out = run_cli(["realize", "--family", "psl2", "--q", "11",
+                         "--class", "5"], capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["provenance"] == "cited"

@@ -56,6 +56,13 @@ def _walk_match(m1: FlagMap, root1: int, m2: FlagMap, root2: int):
     return a
 
 
+def _extended(m1: FlagMap, m2: FlagMap, root2: int):
+    """The library's extension from flag 0 of m1 to root2, when it is an
+    isomorphism m1 -> m2, else None."""
+    a, defect = flagmaps._extension(m1, m2, root2)
+    return a if defect is None else None
+
+
 def _dfs_orientation(m: FlagMap):
     """The 2-colouring swapped by every r_i with flag 0 coloured 0, by
     depth-first search, or None."""
@@ -161,7 +168,7 @@ def _filtered_aut_generators(m: FlagMap):
     for c in candidates.tolist():
         if in_orbit[c] or ruled_out[c]:
             continue
-        g = flagmaps._rooted_match(m, m, c)
+        g = _extended(m, m, c)
         if g is None:
             close(ruled_out, c)
             continue
@@ -391,7 +398,7 @@ def test_rooted_match_matches_walk_at_every_root():
         other = _relabel(m, rng.permutation(m.n))
         for m2 in (m, other):
             for c in range(m.n):
-                fast = flagmaps._rooted_match(m, m2, c)
+                fast = _extended(m, m2, c)
                 slow = _walk_match(m, 0, m2, c)
                 assert (fast is None) == (slow is None)
                 if fast is not None:
@@ -465,7 +472,7 @@ def test_long_map_kernels_match_oracles(long_map):
     if cycle:
         assert np.array_equal(fast, slow)
     for c in (0, 1, m.n - 1):
-        fast, slow = flagmaps._rooted_match(m, m, c), _walk_match(m, 0, m, c)
+        fast, slow = _extended(m, m, c), _walk_match(m, 0, m, c)
         assert (fast is None) == (slow is None)
         if fast is not None:
             assert np.array_equal(fast, slow)
@@ -611,6 +618,17 @@ def test_long_map_against_its_petrie_dual_needs_no_extension_test(long_map,
         assert not flagmaps.is_isomorphic(m, m.petrie())
         assert not flagmaps.is_isomorphic(m.petrie(), m)
     assert extension_roots == []
+
+
+def test_match_at_the_first_root_finds_no_automorphism(extension_roots):
+    """The cycle is regular, so a relabelled copy matches at root 0: one
+    extension test, and Aut of neither map is computed."""
+    m = _fresh(_long_map(True))
+    copy = _relabel(m, np.random.default_rng(3).permutation(m.n))
+    with _deadline(30):
+        assert flagmaps.is_isomorphic(m, copy)
+    assert extension_roots == [0]
+    assert m._aut is None and copy._aut is None
 
 
 def test_map_layer_makes_no_whole_map_orbit_labelling(monkeypatch):

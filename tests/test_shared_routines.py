@@ -91,8 +91,8 @@ def test_aut_order_matches_commuting_permutations():
         # the extension walk itself, without the pruning around it
         by_image = {p[0]: p for p in brute}
         for c in range(m.n):
-            a = flagmaps._rooted_match(m, m, c)
-            assert (None if a is None else tuple(a.tolist())) == by_image.get(c)
+            a, defect = flagmaps._extension(m, m, c)
+            assert (None if defect else tuple(a.tolist())) == by_image.get(c)
 
 
 def test_orientable_no_boundary_matches_two_colouring():
