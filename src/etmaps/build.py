@@ -259,18 +259,25 @@ def has_forbidden_automorphism(spec: EpimorphismSpec) -> tuple[bool, str | None]
     ``_FORBIDDEN`` order, that extends, or None; later patterns are not
     tried.  The spec must pass :func:`check_spec`: that its images generate
     the target is not checked again (:func:`groups.extends_from_generating`)."""
-    G = spec.group
-    names = GENERATOR_NAMES[spec.class_label]
     src = spec.image_tuple()
-    for tag, pattern in _FORBIDDEN[spec.class_label]:
+    for tag, dst in _forbidden_images(spec.group, spec.class_label, spec.images):
+        if groups.extends_from_generating(spec.group, src, dst):
+            return True, tag
+    return False, None
+
+
+def _forbidden_images(G: GroupTable, label: str, images: dict[str, int]):
+    """For each forbidden pattern of class ``label``, in ``_FORBIDDEN``
+    order, its tag and the images it assigns to the generators, in
+    ``GENERATOR_NAMES`` order, given the generators' ``images``."""
+    names = GENERATOR_NAMES[label]
+    for tag, pattern in _FORBIDDEN[label]:
         dst = []
         for name in names:
             pname, exp = pattern[name]
-            x = spec.images[pname]
+            x = images[pname]
             dst.append(x if exp == 1 else G.inverse(x))
-        if groups.extends_from_generating(G, src, tuple(dst)):
-            return True, tag
-    return False, None
+        yield tag, tuple(dst)
 
 
 def transform_spec(spec: EpimorphismSpec, ops: str) -> FlagMap:
@@ -459,6 +466,13 @@ def search_epimorphisms(label: str, G: GroupTable, *,
     under conjugation by the centralizer in G of the images fixed before it.
     ``examined`` counts these canonical tuples.
 
+    The filters, in order, on a transitive permutation group: the tuple
+    generates a transitive group, and no permutation of the points
+    conjugates it to a forbidden pattern of it (:func:`perms.conjugator`).
+    Such a pattern extends when the tuple generates G, and a tuple that
+    does not is rejected anyway (``docs/decisions.md``).  Then, on every
+    group, generation and :func:`has_forbidden_automorphism`.
+
     Why it is exact: generation, the relations, the index-2 characters and
     forbidden-pattern extension are invariant under simultaneous
     automorphisms, and the lex-least tuple of every orbit is canonical (a
@@ -511,12 +525,19 @@ def search_epimorphisms(label: str, G: GroupTable, *,
             if tup in seen:
                 continue
             examined += 1
-            if transitive and \
-                    not perms.is_transitive(G.degree, [G.elem(x) for x in tup]):
-                continue
+            images = dict(zip(names, tup))
+            if transitive:
+                src = [G.elem(x) for x in tup]
+                if not perms.is_transitive(G.degree, src):
+                    continue
+                # a forbidden pattern that a point permutation conjugates
+                # the tuple to rejects it, generating or not
+                if any(perms.conjugator(src, [G.elem(y) for y in dst]) is not None
+                       for _, dst in _forbidden_images(G, shape, images)):
+                    continue
             if not G.generates(tup):
                 continue
-            spec = EpimorphismSpec(shape, G, dict(zip(names, tup)))
+            spec = EpimorphismSpec(shape, G, images)
             forbidden, _ = has_forbidden_automorphism(spec)
             if forbidden:
                 continue

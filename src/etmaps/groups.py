@@ -267,8 +267,11 @@ class PermGroup(GroupTable):
         return ids
 
     def right_mult(self, w: int) -> np.ndarray:
-        """One gather on the element matrix, then :meth:`ids_of`."""
+        """One gather on the element matrix, then :meth:`ids_of`; the
+        identity's is ``arange``, with neither."""
         m = self.matrix()
+        if w == 0:
+            return np.arange(self.size)
         return self.ids_of(m[w][m])  # row g: apply g, then w
 
     def label(self, a: int) -> str:
@@ -660,7 +663,10 @@ def extends_from_generating(G: GroupTable, src: Sequence[int], dst: Sequence[int
     """Does src_i -> dst_i extend to an automorphism of G, for a ``src``
     that the caller has proved generates G?  That is not checked here.
 
-    On a :class:`PermGroup` this is decided by stabilizer chains.  The
+    On a :class:`PermGroup` a permutation pi of the points conjugating each
+    src_i to dst_i (:func:`perms.conjugator`) proves that it extends: <dst>
+    = pi G pi^-1 lies in G and has order |G|, so conjugation by pi is an
+    automorphism of G.  When none is found, stabilizer chains decide.  The
     diagonal subgroup <(src_i, dst_i)> of G x G, acting on 2 * degree points,
     projects onto G; it is the graph of a homomorphism iff its order is |G|,
     and that homomorphism is onto iff ``dst`` generates G, which needs no
@@ -675,6 +681,8 @@ def extends_from_generating(G: GroupTable, src: Sequence[int], dst: Sequence[int
     n = G.degree
     src_perms = [G.elem(x) for x in src]
     dst_perms = [G.elem(y) for y in dst]
+    if perms.conjugator(src_perms, dst_perms) is not None:
+        return True
     diagonal = [a + tuple(j + n for j in b) for a, b in zip(src_perms, dst_perms)]
     if perms.order_exceeds(diagonal, G.size):
         return False

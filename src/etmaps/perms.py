@@ -282,6 +282,64 @@ def block_system(degree: int, gens: Sequence[Perm], alpha: int, beta: int) -> li
     return _parts(*_numbered(parent))
 
 
+def conjugator(src: Sequence[Perm], dst: Sequence[Perm]) -> Perm | None:
+    """A permutation pi of the points with ``pi[s[x]] == d[pi[x]]`` for every
+    pair (s, d) of ``src`` and ``dst`` and every point x, so that conjugation
+    by pi sends each s to its d; or None when none is found.
+
+    On a transitive <src>, pi is fixed by pi(0): for each candidate c,
+    :func:`_conjugator_from` assigns pi by a BFS from point 0 over the src
+    generators.  A candidate must have, under each d, the cycle length that
+    point 0 has under its s.  Every BFS that meets no clash reaches the
+    orbit of 0, so when that leaves a point unassigned (<src> intransitive)
+    the answer is None, whether or not some pi exists: None means "no pi
+    found", never "none exists"."""
+    if len(src) != len(dst):
+        raise ValueError("src and dst must have equal length")
+    if not src:
+        return None
+    n = len(src[0])
+    pairs = list(zip(src, dst))
+    candidates = range(n)
+    for s, d in pairs:
+        want, x = 1, s[0]  # the length of the s-cycle through 0
+        while x:
+            want, x = want + 1, s[x]
+        length = [0] * n
+        for c in cycles(d):
+            for x in c:
+                length[x] = len(c)
+        candidates = [c for c in candidates if length[c] == want]
+    for c in candidates:
+        pi = _conjugator_from(pairs, c)
+        if pi is not None:
+            return tuple(pi) if -1 not in pi else None
+    return None
+
+
+def _conjugator_from(pairs: list[tuple[Perm, Perm]], c: int) -> list[int] | None:
+    """The map pi with pi(0) = c and pi(s(x)) = d(pi(x)) on the orbit of 0
+    under the s of ``pairs`` (-1 off it), or None on a clash or on an image
+    met twice."""
+    n = len(pairs[0][0])
+    pi = [-1] * n
+    used = [False] * n
+    pi[0], used[c] = c, True
+    queue = [0]
+    for x in queue:
+        px = pi[x]
+        for s, d in pairs:
+            y, py = s[x], d[px]
+            if pi[y] < 0:
+                if used[py]:
+                    return None
+                pi[y], used[py] = py, True
+                queue.append(y)
+            elif pi[y] != py:
+                return None
+    return pi
+
+
 def is_primitive(degree: int, gens: Sequence[Perm]) -> bool:
     """Transitive with no nontrivial block system.  Intransitive input is an
     error."""

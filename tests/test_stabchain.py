@@ -177,13 +177,8 @@ def _diagonal_and_dst_chains(G, src, dst):
             perms.order_exceeds(dst_perms, G.size // 2))
 
 
-@pytest.mark.parametrize("name", ["S4", "S5", "A5", "L2(7)", "AGL1(8)", "C2xC4"])
-def test_hom_extension_exists_skips_only_implied_generation(name, monkeypatch):
-    # a dst whose elements give back every src element up to inversion
-    # generates G, so only the src and diagonal chains run; any other dst
-    # also runs the dst chain when the diagonal passes
-    G = _extension_groups()[name]
-    rng = random.Random(name)
+def _counting_chains(monkeypatch):
+    """A list that records the bound of every ``perms.order_exceeds`` call."""
     runs = []
     order_exceeds = perms.order_exceeds
 
@@ -191,6 +186,19 @@ def test_hom_extension_exists_skips_only_implied_generation(name, monkeypatch):
         runs.append(bound)
         return order_exceeds(gens, bound)
 
+    monkeypatch.setattr(perms, "order_exceeds", counted)
+    return runs
+
+
+@pytest.mark.parametrize("name", ["S4", "S5", "A5", "L2(7)", "AGL1(8)", "C2xC4"])
+def test_hom_extension_exists_skips_only_implied_generation(name, monkeypatch):
+    # a dst that a permutation of the points conjugates src to runs only
+    # the src chain; otherwise a dst whose elements give back every src
+    # element up to inversion generates G, so only the src and diagonal
+    # chains run, and any other dst also runs the dst chain when the
+    # diagonal passes
+    G = _extension_groups()[name]
+    rng = random.Random(name)
     seen = set()
     tried = 0
     while tried < 60:
@@ -203,15 +211,34 @@ def test_hom_extension_exists_skips_only_implied_generation(name, monkeypatch):
         inner = tuple(G.conjugate(s, g) for s in src)
         for dst in (covered, inner, (0,) * len(src)):
             hom, onto = _diagonal_and_dst_chains(G, src, dst)
-            runs.clear()
-            monkeypatch.setattr(perms, "order_exceeds", counted)
-            got = hom_extension_exists(G, src, dst)
-            monkeypatch.setattr(perms, "order_exceeds", order_exceeds)
+            certified = perms.conjugator([G.elem(x) for x in src],
+                                         [G.elem(y) for y in dst]) is not None
+            with monkeypatch.context() as m:
+                runs = _counting_chains(m)
+                got = hom_extension_exists(G, src, dst)
             assert got == (hom and onto), (src, dst)
             implied = set(src) <= set(dst) | {G.inverse(y) for y in dst}
-            assert len(runs) == (3 if hom and not implied else 2), (src, dst)
-            seen.add((implied, len(runs)))
-    assert (True, 2) in seen and (False, 3) in seen
+            want = 1 if certified else 3 if hom and not implied else 2
+            assert len(runs) == want, (src, dst)
+            seen.add((implied, certified, len(runs)))
+    assert (True, False, 2) in seen and (False, False, 3) in seen
+    # every automorphism of the transitive groups here is point-induced; the
+    # intransitive C2 x C4 never gets a conjugator
+    assert any(c for _, c, _ in seen) == (name != "C2xC4")
+
+
+def test_outer_automorphism_of_s6_extends_by_the_chain(monkeypatch):
+    # the outer automorphism of S6 sends a transposition to a triple
+    # transposition, so no permutation of the points induces it and the
+    # "extends" verdict comes from the diagonal and dst chains
+    G = realize.sym_group(6)
+    src = tuple(G.id_of(perms.parse_cycles(c, 6)) for c in ("(1,2,3,4,5,6)", "(1,2)"))
+    dst = tuple(G.id_of(perms.parse_cycles(c, 6)) for c in ("(1,2,3)(4,5)", "(1,2)(3,4)(5,6)"))
+    assert hom_extension(G, src, dst) is not None
+    assert perms.conjugator([G.elem(x) for x in src], [G.elem(y) for y in dst]) is None
+    runs = _counting_chains(monkeypatch)
+    assert hom_extension_exists(G, src, dst)
+    assert runs == [G.size // 2, G.size, G.size // 2]
 
 
 def test_hom_extension_exists_rejects_bad_input():
