@@ -383,22 +383,6 @@ def _candidate_domains(label: str, G: GroupTable,
     return domains
 
 
-def _cycle_type_leaders(G: groups.PermGroup, dom: list[int]) -> list[int]:
-    """The first member of ``dom`` of each cycle type, ascending.  A point's
-    cycle length is the least t >= 1 with p^t fixing it, read off ``degree``
-    gathers of the element matrix rows; a row's sorted lengths name its cycle
-    type."""
-    rows = G.matrix()[dom]
-    points = np.arange(G.degree, dtype=rows.dtype)
-    lengths = np.zeros(rows.shape, dtype=perms.row_dtype(G.degree + 1))
-    power = rows  # power[x, i] = p_x^t(i)
-    for t in range(1, G.degree + 1):
-        lengths[(power == points) & (lengths == 0)] = t
-        power = np.take_along_axis(rows, power, axis=1)
-    _, first = np.unique(perms.void_keys(np.sort(lengths, axis=1)), return_index=True)
-    return sorted(np.asarray(dom)[first].tolist())
-
-
 def _canonical_tuples(G: GroupTable, domains: list[list[int]], first: list[int],
                       inv: np.ndarray, commute_0_2: bool):
     """Image tuples in lex order: the first image from ``first``, each later
@@ -432,6 +416,19 @@ def _canonical_tuples(G: GroupTable, domains: list[list[int]], first: list[int],
         yield from descend((x,), [])
 
 
+def _first_leaders(G: GroupTable, conj: list[np.ndarray], up_to_cycle_type: bool
+                   ) -> np.ndarray:
+    """The least member of each orbit of ``conj``, conjugations by generators
+    of G, and with ``up_to_cycle_type`` by the transposition (0 1) too: the
+    leaders of G's classes, or of its cycle types (``docs/decisions.md``)."""
+    if up_to_cycle_type and G.degree > 1:
+        m = G.matrix()
+        t = np.arange(G.degree, dtype=m.dtype)
+        t[:2] = 1, 0
+        conj = conj + [G.ids_of(t[m[:, t]])]  # row p becomes (0 1) p (0 1)
+    return groups.conjugation_orbits(G.size, conj)[1]
+
+
 def _orbit_union(tuples: list[tuple[int, ...]], conj: list[np.ndarray],
                  first: set[int]) -> list[tuple[int, ...]]:
     """Sorted union of the orbits of the distinct ``tuples`` under
@@ -461,9 +458,11 @@ def search_epimorphisms(label: str, G: GroupTable, *,
     no witness is a proof of emptiness.
 
     What is enumerated: canonical tuples only (McKay 1998).  The first image
-    is the least member of its conjugacy class (of its cycle type with
-    ``up_to_cycle_type``); each later image is the least member of its orbit
-    under conjugation by the centralizer in G of the images fixed before it.
+    is the least member of its conjugacy class; with ``up_to_cycle_type``,
+    of its orbit under conjugation by G and the transposition (0 1), which
+    is its cycle type (``docs/decisions.md``).  Each later image is the
+    least member of its orbit under conjugation by the centralizer in G of
+    the images fixed before it.
     ``examined`` counts these canonical tuples.
 
     The filters, in order, on a transitive permutation group: the tuple
@@ -471,7 +470,9 @@ def search_epimorphisms(label: str, G: GroupTable, *,
     conjugates it to a forbidden pattern of it (:func:`perms.conjugator`).
     Such a pattern extends when the tuple generates G, and a tuple that
     does not is rejected anyway (``docs/decisions.md``).  Then, on every
-    group, generation and :func:`has_forbidden_automorphism`.
+    group, generation and :func:`groups.extends_by_chain` on each pattern:
+    :func:`has_forbidden_automorphism` without the conjugator, which has
+    found nothing above or, on an intransitive tuple, can find nothing.
 
     Why it is exact: generation, the relations, the index-2 characters and
     forbidden-pattern extension are invariant under simultaneous
@@ -507,7 +508,7 @@ def search_epimorphisms(label: str, G: GroupTable, *,
     names = GENERATOR_NAMES[shape]
     inv = groups.inverse_ids(G)
     conj_g = groups.conjugation_generators(G, np.ones(G.size, dtype=bool), inv)
-    _, class_leaders = groups.conjugation_orbits(G.size, conj_g)
+    leaders = _first_leaders(G, conj_g, up_to_cycle_type)
     seen: set[tuple[int, ...]] = set()
     witnesses: list[dict[str, int]] = []
     examined = 0
@@ -515,31 +516,27 @@ def search_epimorphisms(label: str, G: GroupTable, *,
     for lam in lams:
         domains = _candidate_domains(shape, G, parity, lam)
         doms = [domains[name] for name in names]
-        if up_to_cycle_type:
-            first = _cycle_type_leaders(G, doms[0])
-        else:
-            first = [x for x in doms[0] if class_leaders[x]]
+        first = [x for x in doms[0] if leaders[x]]
         room = None if limit is None else limit - len(witnesses)
         canonical = []
         for tup in _canonical_tuples(G, doms, first, inv, shape == "1"):
             if tup in seen:
                 continue
             examined += 1
-            images = dict(zip(names, tup))
             if transitive:
                 src = [G.elem(x) for x in tup]
                 if not perms.is_transitive(G.degree, src):
                     continue
-                # a forbidden pattern that a point permutation conjugates
-                # the tuple to rejects it, generating or not
-                if any(perms.conjugator(src, [G.elem(y) for y in dst]) is not None
-                       for _, dst in _forbidden_images(G, shape, images)):
-                    continue
+            images = dict(zip(names, tup))
+            patterns = [dst for _, dst in _forbidden_images(G, shape, images)]
+            # a forbidden pattern that a point permutation conjugates the
+            # tuple to rejects it, generating or not
+            if transitive and any(perms.conjugator(src, [G.elem(y) for y in dst]) is not None
+                                  for dst in patterns):
+                continue
             if not G.generates(tup):
                 continue
-            spec = EpimorphismSpec(shape, G, images)
-            forbidden, _ = has_forbidden_automorphism(spec)
-            if forbidden:
+            if any(groups.extends_by_chain(G, tup, dst) for dst in patterns):
                 continue
             canonical.append(tup)
             if room is not None and len(canonical) == room:

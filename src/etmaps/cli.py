@@ -96,13 +96,21 @@ def cmd_realize(args) -> int:
         return 0
 
 
-# the numeric option each parametrized family needs
-_FAMILY_PARAM = {"sym": "n", "sym_even": "n", "alt": "n", "alt_small": "n",
-                 "psl2": "q", "nilpotent_chiral": "e", "dihedral": "m"}
-
-# the one class each single-class family realizes
-_FAMILY_CLASS = {"psl2_class2": "2", "nilpotent_chiral": "2Pex", "dihedral": "1",
-                 "edmonds_k8": "2Pex"}
+# per family: the numeric option it needs (or None), the one class it
+# realizes (or None: any class, by default 1), and its builder, called with
+# the class label and the option's value; the builders name module
+# attributes at call time, so a traced or patched constructor is the one run
+_FAMILIES = {
+    "sym": ("n", None, lambda label, n: suites.sym_witness(label, n)),
+    "sym_even": ("n", None, lambda label, n: realize.sym_even(label, n)),
+    "alt": ("n", None, lambda label, n: suites.alt_witness(label, n)),
+    "alt_small": ("n", None, lambda label, n: realize.alt_small(label, n)),
+    "psl2": ("q", None, lambda label, q: suites.psl2_witness(label, q)),
+    "psl2_class2": (None, "2", lambda label, _: realize.psl2_class2_q7()),
+    "nilpotent_chiral": ("e", "2Pex", lambda label, e: realize.nilpotent_chiral(e)),
+    "dihedral": ("m", "1", lambda label, m: realize.dihedral_spec(m)),
+    "edmonds_k8": (None, "2Pex", lambda label, _: realize.edmonds_k8()),
+}
 
 
 def _check_label(label: str) -> None:
@@ -113,37 +121,20 @@ def _check_label(label: str) -> None:
 
 def _cmd_realize(args) -> int:
     family = args.family.replace("-", "_")
-    own = _FAMILY_CLASS.get(family)
+    param, own, make = _FAMILIES.get(family, (None, None, None))
     label = args.klass if args.klass is not None else own or "1"
     _check_label(label)
     if own is not None and label != own:
         raise ValueError(f"--family {args.family} realizes class {own} only, "
                          f"not {label}")
-    param = _FAMILY_PARAM.get(family)
     if param is not None and getattr(args, param) is None:
         raise ValueError(f"--family {args.family} needs --{param}")
-    if family == "sym":
-        real = suites.sym_witness(label, args.n)
-    elif family == "sym_even":
-        real = realize.sym_even(label, args.n)
-    elif family == "alt":
-        real = suites.alt_witness(label, args.n)
-    elif family == "alt_small":
-        real = realize.alt_small(label, args.n)
-    elif family == "psl2":
-        real = suites.psl2_witness(label, args.q)
-    elif family == "psl2_class2":
-        real = realize.psl2_class2_q7()
-    elif family == "nilpotent_chiral":
-        real = realize.nilpotent_chiral(args.e)
-    elif family == "dihedral":
-        real = realize.dihedral_spec(args.m)
-    elif family == "edmonds_k8":
-        pair = realize.edmonds_k8()
-        _emit([_realization_json(r) for r in pair])
-        return 0
-    else:
+    if make is None:
         raise ValueError(f"unknown family {args.family!r}")
+    real = make(label, getattr(args, param) if param else None)
+    if isinstance(real, tuple):  # edmonds_k8: a pair of maps
+        _emit([_realization_json(r) for r in real])
+        return 0
     out = _realization_json(real)
     if args.emit_map:
         out["map"] = real.build().to_json()
@@ -210,8 +201,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="emit a named realization spec")
     p.add_argument("--family", required=True,
-                   help="sym | sym-even | alt | alt-small | psl2 | psl2-class2 | "
-                        "nilpotent-chiral | dihedral | edmonds-k8")
+                   help=" | ".join(f.replace("_", "-") for f in _FAMILIES))
     p.add_argument("--class", dest="klass",
                    help="class label (default: the family's own class, else 1)")
     p.add_argument("--n", type=int, help="degree for sym/alt families")

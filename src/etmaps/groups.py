@@ -666,14 +666,23 @@ def extends_from_generating(G: GroupTable, src: Sequence[int], dst: Sequence[int
     On a :class:`PermGroup` a permutation pi of the points conjugating each
     src_i to dst_i (:func:`perms.conjugator`) proves that it extends: <dst>
     = pi G pi^-1 lies in G and has order |G|, so conjugation by pi is an
-    automorphism of G.  When none is found, stabilizer chains decide.  The
-    diagonal subgroup <(src_i, dst_i)> of G x G, acting on 2 * degree points,
-    projects onto G; it is the graph of a homomorphism iff its order is |G|,
-    and that homomorphism is onto iff ``dst`` generates G, which needs no
-    chain when every ``src`` element is a ``dst`` element or the inverse of
-    one (every pattern of ``build._FORBIDDEN``).  Other groups walk
-    :func:`hom_extension`.
-    """
+    automorphism of G.  When none is found, :func:`extends_by_chain`
+    decides."""
+    if isinstance(G, PermGroup) and perms.conjugator(
+            [G.elem(x) for x in src], [G.elem(y) for y in dst]) is not None:
+        return True
+    return extends_by_chain(G, src, dst)
+
+
+def extends_by_chain(G: GroupTable, src: Sequence[int], dst: Sequence[int]) -> bool:
+    """:func:`extends_from_generating` without the point conjugator, for a
+    ``src`` that generates G.  On a :class:`PermGroup` stabilizer chains
+    decide: the diagonal subgroup <(src_i, dst_i)> of G x G, acting on 2 *
+    degree points, projects onto G; it is the graph of a homomorphism iff
+    its order is |G|, and that homomorphism is onto iff ``dst`` generates G,
+    which needs no chain when every ``src`` element is a ``dst`` element or
+    the inverse of one (every pattern of ``build._FORBIDDEN``).  Other
+    groups walk :func:`hom_extension`."""
     if not isinstance(G, PermGroup):
         return hom_extension(G, src, dst) is not None
     if len(src) != len(dst):
@@ -681,8 +690,6 @@ def extends_from_generating(G: GroupTable, src: Sequence[int], dst: Sequence[int
     n = G.degree
     src_perms = [G.elem(x) for x in src]
     dst_perms = [G.elem(y) for y in dst]
-    if perms.conjugator(src_perms, dst_perms) is not None:
-        return True
     diagonal = [a + tuple(j + n for j in b) for a, b in zip(src_perms, dst_perms)]
     if perms.order_exceeds(diagonal, G.size):
         return False

@@ -98,7 +98,11 @@ def alt_group(n: int) -> PermGroup:
 
 @cache
 def psl2_group(q: int) -> PermGroup:
-    """L_2(q) (:func:`psl2_perm_group`), one per q."""
+    """L_2(q) (:func:`psl2_perm_group`), one per q.  Its order q(q^2 - 1)/
+    gcd(2, q - 1) is checked against the table cap first, so that a q over
+    the cap is refused before the field of order q is sought."""
+    if q * (q * q - 1) // gcd(2, q - 1) > TABLE_CAP:
+        raise CapExceeded(TABLE_CAP)
     return psl2_perm_group(_field_of(q))
 
 
@@ -425,13 +429,9 @@ def alt_small(label: str, n: int) -> Realization:
 # -- PSL(2, q) -------------------------------------------------------------------
 
 def psl2_perm_group(q_field: FiniteField) -> PermGroup:
-    """L_2(q) on the q + 1 points of the projective line.  Its order
-    q(q^2 - 1)/gcd(2, q - 1) is checked against the table cap first, so that
-    a group over the cap is refused before a stabilizer chain of degree
-    q + 1 is built."""
-    q = q_field.q
-    if q * (q * q - 1) // gcd(2, q - 1) > TABLE_CAP:
-        raise CapExceeded(TABLE_CAP)
+    """L_2(q) on the q + 1 points of the projective line.  :func:`psl2_group`
+    refuses a q over the table cap before this builds a stabilizer chain of
+    degree q + 1."""
     return PermGroup(fields.psl2_group_generators(q_field))
 
 

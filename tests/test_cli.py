@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import etmaps
-from etmaps import classes, cli, flagmaps, realize
+from etmaps import classes, cli, fields, flagmaps, realize
 from etmaps.flagmaps import FlagMap
 
 
@@ -498,6 +498,20 @@ def test_realize_psl2_over_cap_is_refused_by_its_order(capsys):
     _assert_input_error_in_process(
         capsys, ["realize", "--family", "psl2", "--q", "10007"], "cap of 10000000")
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("q", [272, 2 ** 60, 10 ** 18 + 3])
+def test_realize_psl2_over_cap_builds_no_field(capsys, monkeypatch, q):
+    # every q >= 272 is over the cap by its order alone; 2^60 would stall
+    # in the irreducible-polynomial search, 10^18 + 3 in trial division
+    def no_field(*args):
+        raise AssertionError("a field was built")
+
+    for owner in (fields, realize):
+        monkeypatch.setattr(owner, "FiniteField", no_field)
+    monkeypatch.setattr(realize, "_field_of", no_field)
+    _assert_input_error_in_process(
+        capsys, ["realize", "--family", "psl2", "--q", str(q)], "cap of 10000000")
 
 
 def test_realize_nilpotent_chiral_over_cap_is_input_error():

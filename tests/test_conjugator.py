@@ -11,6 +11,9 @@
   conjugator) gives the same witnesses, ``examined`` and ``proved_empty``.
 - The ``a7-2ex`` proof runs a pinned number of chains, so that the search's
   conjugator filter cannot drop out unseen.
+- The search makes at most one conjugator call per (tuple, pattern) pair:
+  pinned counts on a search that accepts most tuples, and none at all on
+  an intransitive target.
 """
 
 import itertools
@@ -164,19 +167,55 @@ def test_search_without_conjugator_agrees(name, shape, options, monkeypatch):
         (want.witnesses, want.examined, want.complete, want.proved_empty)
 
 
+def _counted(monkeypatch):
+    """Counts of ``perms.conjugator`` calls and stabilizer-chain runs from
+    here on."""
+    counts = {"conjugator": 0, "chains": 0}
+    conjugator, stabilizer_order = perms.conjugator, perms._stabilizer_order
+
+    def counted_conjugator(src, dst):
+        counts["conjugator"] += 1
+        return conjugator(src, dst)
+
+    def counted_chain(gens, bound):
+        counts["chains"] += 1
+        return stabilizer_order(gens, bound)
+
+    monkeypatch.setattr(perms, "conjugator", counted_conjugator)
+    monkeypatch.setattr(perms, "_stabilizer_order", counted_chain)
+    return counts
+
+
 def test_a7_2ex_proof_runs_a_pinned_number_of_chains(monkeypatch):
     # the two A7 searches of the a7-2ex suite (class 2Pex empty, class 5 not);
     # without the conjugator filter they ran 57 and 32 chains
     G = realize.alt_group(7)
-    runs = []
-    stabilizer_order = perms._stabilizer_order
-
-    def counted(gens, bound):
-        runs.append(bound)
-        return stabilizer_order(gens, bound)
-
-    monkeypatch.setattr(perms, "_stabilizer_order", counted)
+    counts = _counted(monkeypatch)
     empty = build.search_epimorphisms("2Pex", G, up_to_cycle_type=True)
-    assert empty.proved_empty and len(runs) == 14
+    assert empty.proved_empty and counts["chains"] == 14
     found = build.search_epimorphisms("5", G, up_to_cycle_type=True)
-    assert found.witnesses and len(runs) == 14 + 4
+    assert found.witnesses and counts["chains"] == 14 + 4
+
+
+def test_search_asks_the_conjugator_once_per_pattern(monkeypatch):
+    # 582 canonical tuples, most generating and accepted; when every
+    # accepted tuple's pattern got a second conjugator call inside
+    # has_forbidden_automorphism, the count was 642
+    G = realize.sym_group(6)
+    counts = _counted(monkeypatch)
+    result = build.search_epimorphisms("4", G, even=True, up_to_cycle_type=True,
+                                       limit=None)
+    assert result.examined == 582 and len(result.witnesses) == 8832
+    assert counts == {"conjugator": 410, "chains": 570}
+
+
+def test_search_on_an_intransitive_target_asks_no_conjugator(monkeypatch):
+    # D_6 x C_2 (order 24) on 6 + 2 points: a generating tuple is
+    # intransitive, so a conjugator would find nothing (168 calls when it
+    # was asked)
+    G = realize.dihedral_spec(6).spec.group
+    assert not perms.is_transitive(G.degree, [G.elem(g) for g in G.generators])
+    counts = _counted(monkeypatch)
+    result = build.search_epimorphisms("2", G, limit=None)
+    assert result.examined == 960 and len(result.witnesses) == 576
+    assert counts == {"conjugator": 0, "chains": 1128}
