@@ -435,7 +435,7 @@ def _orbit_union(tuples: list[tuple[int, ...]], conj: list[np.ndarray],
     simultaneous conjugation by the group whose conjugation id permutations
     are ``conj`` (:func:`perms.bfs_closure`), keeping the tuples whose first
     image is in ``first``."""
-    orbit, _ = perms.bfs_closure(conj, tuples)
+    orbit = perms.bfs_closure(conj, tuples).rows
     return sorted(t for t in map(tuple, orbit.tolist()) if t[0] in first)
 
 

@@ -337,7 +337,7 @@ def automorphisms(m: FlagMap) -> list[Perm]:
     gens, _ = aut_generators(m)
     if not gens:
         return [tuple(range(m.n))]
-    return sorted(map(tuple, perms.bfs_closure(gens)[0].tolist()))
+    return sorted(map(tuple, perms.bfs_closure(gens).rows.tolist()))
 
 
 def is_regular(m: FlagMap) -> bool:

@@ -70,8 +70,15 @@ class GroupTable:
     def inverse(self, a: int) -> int:
         raise NotImplementedError
 
+    def _check_id(self, a: int) -> None:
+        """IndexError unless ``a`` is an element id, in [0, size)."""
+        if not 0 <= a < self.size:
+            raise IndexError(f"no element with id {a} in a group of order {self.size}")
+
     def right_mult(self, w: int) -> np.ndarray:
-        """The ids of g w for every element id g, in order, as an int64 array."""
+        """The ids of g w for every element id g, in order, as an int64 array;
+        IndexError unless w is an element id."""
+        self._check_id(w)
         return np.array([self.product(g, w) for g in range(self.size)], dtype=np.int64)
 
     def label(self, a: int) -> str:
@@ -154,9 +161,11 @@ class PermGroup(GroupTable):
 
     Ids are handed out as elements are met: the identity 0, the generators,
     then each new product, inverse or member given to :meth:`id_of`.  They
-    are internal; elements print as cycles.  The element table is only the
-    (size, degree) :meth:`matrix` and the sorted :func:`perms.row_keys` of its
-    rows; element tuples are a memo of the elements met, id -> tuple and back.
+    are internal; elements print as cycles.  The element table is the
+    (size, degree) :meth:`matrix`, the sorted :func:`perms.row_keys` of its
+    rows, and the Cayley graph its closure found: each id's BFS tree parent
+    and generator, and each generator's right multiplication column.
+    Element tuples are a memo of the elements met, id -> tuple and back.
     Before the table exists a new member takes the next id, and :meth:`id_of`
     decides membership by a chain order test.  After, an unmet id is read off
     its row, and a tuple's id off its row key in the sorted keys, which also
@@ -168,10 +177,11 @@ class PermGroup(GroupTable):
     ``cap=None`` it is built by the first array call, or the first read of
     an id in range not met yet (ids run from 0 to size-1), and refused above
     :data:`TABLE_CAP` elements; its rows are the elements met so far, in id
-    order, then the rest in BFS order, so every id handed out stays valid.
-    Whole id permutations of the group (right multiplication, inversion,
-    conjugation by a normalizing permutation) are matrix gathers turned into
-    ids by :meth:`ids_of`.
+    order, then the rest in BFS order, so every id handed out stays valid;
+    the tree, the columns and the key ids are renumbered with them.
+    :meth:`right_mult` composes the columns along a tree word; other whole
+    id permutations of the group (inversion, conjugation by a normalizing
+    permutation) are matrix gathers turned into ids by :meth:`ids_of`.
     """
 
     def __init__(self, generators: Sequence[Perm], cap: int | None = TABLE_CAP):
@@ -201,21 +211,27 @@ class PermGroup(GroupTable):
 
     def _enumerate(self) -> None:
         """Build the element table (see the class docstring)."""
-        m, _ = perms.bfs_closure(self._gens)
-        keys = perms.row_keys(m)
-        by_key = np.argsort(keys)
+        closure = perms.bfs_closure(self._gens)
+        m, cols, key_ids = closure.rows, closure.columns, closure.key_rows
+        parent = np.concatenate([[0], *(p for _, p in closure.tree)]).astype(np.int32)
+        gen = np.concatenate([[0], *(g for g, _ in closure.tree)]).astype(
+            np.min_scalar_type(len(self._gens) - 1))
         # the BFS rows of the elements met so far, in id order, keep their ids
-        met = by_key[np.searchsorted(keys[by_key], perms.row_keys(
+        met = key_ids[np.searchsorted(closure.keys, perms.row_keys(
             np.array(list(self._elems.values()), dtype=m.dtype)))]
         if not np.array_equal(met, np.arange(len(met))):
             rest = np.ones(self.size, dtype=bool)
             rest[met] = False
             order = np.concatenate([met, np.flatnonzero(rest)])
-            m, keys = m[order], keys[order]
-            by_key = np.argsort(keys)
+            new_id = np.empty(self.size, dtype=np.int64)
+            new_id[order] = np.arange(self.size)
+            m, gen, key_ids = m[order], gen[order], new_id[key_ids]
+            parent = new_id[parent[order]].astype(np.int32)
+            cols = new_id[cols[:, order]]
         self._matrix = m
-        self._key_ids = by_key
-        self._sorted_keys = keys[by_key]
+        self._parent, self._gen, self._columns = parent, gen, cols
+        self._key_ids = key_ids
+        self._sorted_keys = closure.keys
 
     def matrix(self) -> np.ndarray:
         """The element matrix, row a the element with id a, enumerated on the
@@ -229,8 +245,7 @@ class PermGroup(GroupTable):
     def elem(self, a: int) -> Perm:
         p = self._elems.get(a)
         if p is None:
-            if not 0 <= a < self.size:
-                raise IndexError(f"no element with id {a} in a group of order {self.size}")
+            self._check_id(a)
             p = self._elems[a] = tuple(self.matrix()[a].tolist())
             self._index[p] = int(a)
         return p
@@ -267,12 +282,12 @@ class PermGroup(GroupTable):
         return ids
 
     def right_mult(self, w: int) -> np.ndarray:
-        """One gather on the element matrix, then :meth:`ids_of`; the
-        identity's is ``arange``, with neither."""
-        m = self.matrix()
-        if w == 0:
-            return np.arange(self.size)
-        return self.ids_of(m[w][m])  # row g: apply g, then w
+        """The generators' columns composed along w's word in the BFS tree
+        of the table (:func:`perms.compose_word`): no sort and no
+        :meth:`ids_of`; the identity's is ``arange``."""
+        self._check_id(w)
+        self.matrix()  # the table, built on the first array call
+        return perms.compose_word(self._columns, self._parent, self._gen, w)
 
     def label(self, a: int) -> str:
         return perms.format_cycles(self.elem(a))
@@ -329,6 +344,7 @@ class GpefGroup(GroupTable):
     def right_mult(self, w: int) -> np.ndarray:
         """:meth:`product` by ``w`` = g^k h^l on every id at once: id i*n + j
         goes to row i + k, column r^k j + l."""
+        self._check_id(w)
         k, l = divmod(w, self.n)
         steps = np.arange(self.n)
         return np.add.outer((steps + k) % self.n * self.n,
@@ -395,6 +411,7 @@ class GpefAlphaGroup(GroupTable):
         """:meth:`product` by ``w`` = g^k h^l alpha^delta on every id at
         once, as an (i, j, eps) grid.  The alpha image of g^k h^l keeps k, so
         only the h exponent added, l or its image, depends on eps."""
+        self._check_id(w)
         k, l, delta = self.coords(w)
         steps = np.arange(self.n)
         rows = (steps + k) % self.n * self.n * 2
@@ -447,6 +464,7 @@ class DirectProduct(GroupTable):
 
     def right_mult(self, w: int) -> np.ndarray:
         """From the factors' arrays: id a*|B| + b goes to (a w1)*|B| + b w2."""
+        self._check_id(w)
         w1, w2 = divmod(w, self.right.size)
         return np.add.outer(self.left.right_mult(w1) * self.right.size,
                             self.right.right_mult(w2)).ravel()
@@ -740,7 +758,8 @@ class _InducedAction:
                 row[:] = G.ids_of(np.array(a, dtype=m.dtype)[m[:, a_inv]])
             except ValueError as exc:
                 raise ValueError("aut_action does not normalize the group") from exc
-        self.cols, self.layers = perms.bfs_closure(self.gen_rows, [G.generators])
+        closure = perms.bfs_closure(self.gen_rows, [G.generators])
+        self.cols, self.layers = closure.rows, closure.tree
         self.order = len(self.cols)
         self.gen_of = np.concatenate([[0], *(g for g, _ in self.layers)]).tolist()
         self.parent_of = np.concatenate([[0], *(p for _, p in self.layers)]).tolist()
@@ -757,14 +776,7 @@ class _InducedAction:
 
     def row(self, a: int) -> np.ndarray:
         """The image of every id under element a of A."""
-        word = []
-        while a:
-            word.append(self.gen_of[a])
-            a = self.parent_of[a]
-        row = np.arange(self.gen_rows.shape[1], dtype=np.int32)
-        for g in reversed(word):
-            row = self.gen_rows[g][row]
-        return row
+        return perms.compose_word(self.gen_rows, self.parent_of, self.gen_of, a)
 
     def subgroup_rows(self, members: np.ndarray) -> list[np.ndarray]:
         """Full rows of generators of the subgroup of A whose elements are

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -386,51 +386,119 @@ def void_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
+class Closure(NamedTuple):
+    """What :func:`bfs_closure` finds: the orbit's rows, its BFS tree, the
+    Schreier graph as ``columns`` and the sorted keys of the rows."""
+
+    rows: np.ndarray
+    # per layer after ``start``: (generator index, absolute parent row)
+    tree: list[tuple[np.ndarray, np.ndarray]]
+    # (k, len(rows)) int64: columns[j, i] is the row of gens[j][rows[i]]
+    columns: np.ndarray
+    keys: np.ndarray  # the rows' :func:`row_keys`, sorted
+    key_rows: np.ndarray  # int64: key_rows[i] is the row whose key is keys[i]
+
+
 def bfs_closure(gens: Sequence[Sequence[int]], start: Sequence[Sequence[int]] | None = None
-                ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+                ) -> Closure:
     """The orbit of the distinct rows ``start`` (default: the identity,
     whose orbit is the generated group) under x -> g[x] for every generator
-    row g, and its BFS tree.  Entries lie in [0, base), base the length of
-    a generator, and the rows come back in dtype :func:`row_dtype` (base),
-    in deterministic order: ``start``, then by distance, then by parent
+    row g, its BFS tree, its Schreier graph and its sorted keys
+    (:class:`Closure`).  Entries lie in [0, base), base the length of a
+    generator, and the rows come back in dtype :func:`row_dtype` (base), in
+    deterministic order: ``start``, then by distance, then by parent
     position, then by generator index, the first discovery winning.  For
     each layer after ``start`` the tree holds the generator index g and the
     absolute parent row of each of its rows: row i of the layer is
-    ``gens[g[i]][rows[parent[i]]]``.  No generators or no start: the orbit
-    is ``start``.
+    ``gens[g[i]][rows[parent[i]]]``.  On a group enumeration row x is the
+    element x and ``columns[j]`` is right multiplication by generator j.
+    No generators or no start: the orbit is ``start``, keyed with base one
+    past its largest entry.
 
     One layer is one gather: candidate ``f * k + j`` is frontier row ``f``
     followed by generator ``j``.  A generator need not be an involution, so
-    candidates whose :func:`row_keys` key is in the sorted keys of any
-    earlier layer are dropped; of the rest the first occurrence of each key,
-    in candidate order, is the next layer (``docs/decisions.md``)."""
-    if start is None:
-        start = [range(len(gens[0]))]
+    one argsort groups the candidates' :func:`row_keys` into runs of equal
+    keys; the least candidate of a run (``np.minimum.reduceat``) is its
+    first discovery, and a run whose key is in the sorted keys of no
+    earlier layer gives the next layer a row.  Every candidate then knows
+    the row it lands on, which is its column entry (``docs/decisions.md``)."""
+    start = np.array([range(len(gens[0]))] if start is None else start)
     if not len(gens) or not len(start):
-        return np.array(start), []
-    base = len(gens[0])
+        keys = row_keys(start, int(start.max(initial=0)) + 1) if start.size else \
+            np.empty(0, dtype=np.uint64)
+        order = np.argsort(keys)
+        return Closure(start, [], np.empty((len(gens), len(start)), dtype=np.int64),
+                       keys[order], order)
+    base, k = len(gens[0]), len(gens)
     gens = np.array(gens, dtype=row_dtype(base))
-    layer = np.array(start, dtype=gens.dtype)
-    rows, tree = [layer], []
-    seen = np.sort(row_keys(layer, base))  # sorted keys of every layer so far
+    layer = start.astype(gens.dtype)
+    keys = row_keys(layer, base)
+    seen_rows = np.argsort(keys)
+    seen = keys[seen_rows]  # sorted keys of every layer so far, and their rows
+    rows, tree, columns = [layer], [], []
     first = 0  # the frontier's first row
     while len(layer):
         # g[x], for a permutation compose(x, g): (k, f, width) gathered, then frontier-major
-        cand = gens[:, layer].swapaxes(0, 1).reshape(-1, layer.shape[1])
+        cand = gens.take(layer, axis=1).swapaxes(0, 1).reshape(-1, layer.shape[1])
         keys = row_keys(cand, base)
-        by_key = np.argsort(keys, kind="stable")  # equal keys in candidate order
-        keys = keys[by_key]
+        by_key = np.argsort(keys)
+        keys = keys.take(by_key)
+        starts = np.empty(len(keys), dtype=bool)  # where a run of equal keys starts
+        starts[0] = True
+        starts[1:] = keys[1:] != keys[:-1]
+        runs = starts.nonzero()[0]
+        keys, lead = keys.take(runs), np.minimum.reduceat(by_key, runs)
         at = np.searchsorted(seen, keys)
-        # new: in no earlier layer, and the first of its run of equal keys
-        new = seen[np.minimum(at, len(seen) - 1)] != keys
-        new[1:] &= keys[1:] != keys[:-1]
-        fresh, seen = np.sort(by_key[new]), np.insert(seen, at[new], keys[new])
-        parent, gen = np.divmod(fresh, len(gens))
+        known = np.minimum(at, len(seen) - 1)
+        land = seen_rows.take(known)  # the row each run lands on
+        new = (seen.take(known) != keys).nonzero()[0]  # runs in no earlier layer
+        in_order = new.take(np.argsort(lead.take(new)))  # new runs in candidate order
+        fresh = lead.take(in_order)  # the next layer
+        land[in_order] = np.arange(first + len(layer), first + len(layer) + len(new))
+        column = np.empty(len(cand), dtype=np.int64)
+        column[by_key] = land.take(starts.cumsum() - 1)
+        columns.append(column.reshape(-1, k).T)
+        # merge the new keys and their rows in: the i-th new key goes to at + i
+        to = at.take(new) + np.arange(len(new))
+        old = np.ones(len(seen) + len(new), dtype=bool)
+        old[to] = False
+        seen, seen_rows = _merged(seen, keys.take(new), to, old), \
+            _merged(seen_rows, land.take(new), to, old)
+        parent, gen = np.divmod(fresh, k)
         tree.append((gen, first + parent))
         first += len(layer)
-        layer = cand[fresh]
+        layer = cand.take(fresh, axis=0)
         rows.append(layer)
-    return np.concatenate(rows), tree
+    return Closure(np.concatenate(rows), tree, np.concatenate(columns, axis=1), seen, seen_rows)
+
+
+def _merged(known: np.ndarray, added: np.ndarray, to: np.ndarray, old: np.ndarray
+            ) -> np.ndarray:
+    """``known`` at the places ``old`` marks, ``added`` at ``to``."""
+    out = np.empty(len(old), dtype=known.dtype)
+    out[to] = added
+    out[old] = known
+    return out
+
+
+def compose_word(columns: np.ndarray, parent: Sequence[int], gen: Sequence[int],
+                 a: int) -> np.ndarray:
+    """The columns of a BFS tree's generators composed along the word of
+    node ``a``, root letter first, as a fresh array: the word is read by
+    walking ``parent`` from ``a`` up to the root 0, ``gen[b]`` the letter
+    that ends b's word.  With r = ``arange`` at the root, each letter j
+    takes r = ``columns[j].take(r)``, so r[x] is where x goes along the
+    whole word (``docs/decisions.md``)."""
+    word = []
+    while a:
+        word.append(gen[a])
+        a = parent[a]
+    if not word:
+        return np.arange(columns.shape[1], dtype=columns.dtype)
+    r = columns[word.pop()].copy()
+    while word:
+        r = columns[word.pop()].take(r)
+    return r
 
 
 def point_closure(images: np.ndarray, mark: np.ndarray, frontier: np.ndarray,

@@ -516,7 +516,10 @@ def psl2_class2_q7() -> Realization:
 def nilpotent_chiral(e: int) -> Realization:
     """Chiral map whose automorphism group is the 2-group of order 2^(2e+1)
     and nilpotence class e+1; needs e >= 4 (classes 2-4 admit no chiral
-    2-groups, a cited computer classification)."""
+    2-groups, a cited computer classification).  An e below 1 names no
+    group of the family: ValueError."""
+    if e < 1:
+        raise ValueError(f"the exponent e must be at least 1, not {e}")
     if e < 4:
         raise Unrealizable("nilpotence classes 2..4 admit no chiral maps",
                            provenance="cited")

@@ -455,6 +455,13 @@ def test_realize_degree_below_one_is_input_error(capsys, family, label, n):
         "degree", n)
 
 
+@pytest.mark.parametrize("e", ["0", "-1"])
+def test_realize_nilpotent_exponent_below_one_is_input_error(capsys, e):
+    # not the cited "classes 2..4" verdict, which names no class here
+    _assert_input_error_in_process(
+        capsys, ["realize", "--family", "nilpotent-chiral", "--e", e], "exponent", e)
+
+
 def test_spec_ops_not_a_string_is_input_error(capsys, tmp_path):
     obj = json.loads(spec_json())
     obj["ops"] = 5

@@ -7,7 +7,9 @@ the first time it is seen.  The matrix must equal its list row by row, in
 order, not only as a set.  ``python_orbit`` is the same BFS from any start
 rows, under gathers, with its tree; it checks the closure's other callers'
 starts: tuples of element ids under conjugation and the induced action's
-columns.
+columns.  ``python_graph`` gives every row's successor under every
+generator by dictionary lookup, against the closure's Schreier columns, and
+the closure's sorted keys are checked against the rows they name.
 """
 
 import random
@@ -64,8 +66,29 @@ def python_orbit(gens, start):
     return rows, gen_of, parent_of
 
 
+def python_graph(gens, rows):
+    """Row by row, the index of its image under each generator: the
+    Schreier graph, as a (k, len(rows)) list."""
+    index = {row: i for i, row in enumerate(rows)}
+    return [[index[tuple(g[i] for i in row)] for row in rows] for g in gens]
+
+
+def assert_graph_and_keys(closure, gens):
+    """The closure's columns are ``python_graph`` of its rows, and its keys
+    are the rows' keys in strictly ascending order, each with its row."""
+    rows = [tuple(row) for row in closure.rows.tolist()]
+    assert closure.columns.dtype == np.int64
+    assert closure.columns.tolist() == python_graph(gens, rows)
+    keys = perms.row_keys(closure.rows, len(gens[0]))
+    assert sorted(closure.key_rows.tolist()) == list(range(len(rows)))
+    assert np.array_equal(closure.keys, keys[closure.key_rows])
+    keys = closure.keys.tolist()  # Python ints or bytes, which void keys compare as
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def assert_same_orbit(gens, start):
-    rows, tree = perms.bfs_closure(gens, start)
+    closure = perms.bfs_closure(gens, start)
+    rows, tree = closure.rows, closure.tree
     expected, gen_of, parent_of = python_orbit(gens, start)
     assert rows.dtype == perms.row_dtype(len(gens[0]))
     assert [tuple(row) for row in rows.tolist()] == expected
@@ -79,6 +102,7 @@ def assert_same_orbit(gens, start):
                               gens[g[:, None], rows[parent]]), at
         at += len(g)
     assert at == len(rows)
+    assert_graph_and_keys(closure, gens.tolist())
     return rows
 
 
@@ -116,14 +140,18 @@ def test_orbit_of_the_survey_start(q):
 
 
 def test_orbit_without_generators_is_the_start():
-    rows, tree = perms.bfs_closure([], [(0, 1), (1, 0)])
-    assert rows.tolist() == [[0, 1], [1, 0]] and tree == []
+    closure = perms.bfs_closure([], [(0, 1), (1, 0)])
+    assert closure.rows.tolist() == [[0, 1], [1, 0]] and closure.tree == []
+    assert closure.columns.shape == (0, 2)
+    assert closure.key_rows.tolist() == [1, 0]  # key 1 + 0*2 < 0 + 1*2
 
 
 def assert_same_closure(gens):
-    got, _ = perms.bfs_closure(gens)
+    closure = perms.bfs_closure(gens)
+    got = closure.rows
     assert got.dtype == perms.row_dtype(len(gens[0]))
     assert [tuple(row) for row in got.tolist()] == python_closure(gens), gens
+    assert_graph_and_keys(closure, gens)
     return got
 
 
