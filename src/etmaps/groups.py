@@ -5,8 +5,11 @@ oracle; id 0 is always the identity.  Concrete tables: permutation groups
 (:class:`PermGroup`, known by their generators and stabilizer-chain order,
 whose ids are handed out as elements are met and whose element table, a
 row matrix with sorted keys, is enumerated once, at construction under a cap
-or on the first array call without one), the metacyclic p-group families
-``G_{p,e,f}`` and their C2 extension by ``g -> gh, h -> h^-1``, and direct products.
+or on the first array call without one), and products A·B of two smaller
+tables with at most one factor acting on the other (:class:`Product`, id
+a·|B| + b, over tables and :class:`Cyclic` factors): the metacyclic
+p-groups ``G_{p,e,f}``, their C2 extension by ``g -> gh, h -> h^-1`` and
+direct products are constructors of it.
 
 Automorphism questions are never answered by materializing Aut(G); they are
 phrased as extension questions on generating tuples
@@ -15,16 +18,16 @@ permutation groups generation and extension are order tests on stabilizer
 chains (:func:`perms.order_exceeds`).  Other tables close subgroups over
 :meth:`GroupTable.right_mult` id arrays by the one layered closure of
 points (:func:`perms.point_closure`, as do the centralizers, the index-2
-characters and flag maps), and walk the Cayley graph for extension
-(:func:`hom_extension`, which also returns the image array).  That walk
-remains for the table-only groups, and as the tests' oracle for the chain
-tests and for the class a built map falls into.  The one exception is
-:func:`simultaneous_inversion_survey` given permutations that induce
-Aut(G): it closes their action on the images of G's generators, which fix
-an automorphism, by the orbit BFS of rows (:func:`perms.bfs_closure`, as
-rows have no dense key space to mark), and reads inversion at one
-representative per orbit off the coset of its stabilizer that inverts it,
-from the full rows of a few automorphisms only.
+characters and flag maps), and walk the Cayley graph on those arrays for
+extension (:func:`hom_extension`, which also returns the image array).
+That walk remains for the table-only groups, and as the tests' oracle for
+the chain tests and for the class a built map falls into.  The one
+exception is :func:`simultaneous_inversion_survey` given permutations that
+induce Aut(G): it closes their action on the images of G's generators,
+which fix an automorphism, by the orbit BFS of rows
+(:func:`perms.bfs_closure`, as rows have no dense key space to mark), and
+reads inversion at one representative per orbit off the coset of its
+stabilizer that inverts it, from the full rows of a few automorphisms only.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ class GroupTable:
 
     size: int
     generators: list[int]
+    arity = 0  # the number of exponents of an element (Product), if any
 
     def product(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -312,170 +316,164 @@ class PermGroup(GroupTable):
         return perms.order_exceeds([self.elem(s) for s in seed], self.size // 2)
 
 
-class GpefGroup(GroupTable):
-    """G_{p,e,f} = <g, h | g^n = h^n = 1, h^g = h^(p^f+1)> with n = p^e.
+class Cyclic(GroupTable):
+    """C_n; id i is the i-th power of the generator, with exponent i."""
 
-    Elements in normal form g^i h^j, encoded as id = i*n + j; the product is
-    g^i h^j . g^k h^l = g^(i+k) h^(r^k j + l) with r = p^f + 1.
-    """
+    arity = 1
 
-    def __init__(self, p: int, e: int, f: int):
-        if e < 1 or f < 1 or f > e:
-            raise ValueError("need 1 <= f <= e")
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-            raise ValueError("p must be prime")
-        self.p, self.e, self.f = p, e, f
-        self.n = p ** e
-        self.r = p ** f + 1
-        self.size = self.n * self.n
-        self.generators = [self._id(1, 0), self._id(0, 1)]  # g, h
-
-    def _id(self, i: int, j: int) -> int:
-        return (i % self.n) * self.n + (j % self.n)
-
-    def coords(self, a: int) -> tuple[int, int]:
-        return divmod(a, self.n)
+    def __init__(self, n: int):
+        self.size = n
+        self.generators = [1 % n]
+        self._twice = np.arange(2 * n) % n  # right_mult(w) is a window of it
 
     def product(self, a: int, b: int) -> int:
-        i, j = divmod(a, self.n)
-        k, l = divmod(b, self.n)
-        return self._id(i + k, pow(self.r, k, self.n) * j + l)
-
-    def right_mult(self, w: int) -> np.ndarray:
-        """:meth:`product` by ``w`` = g^k h^l on every id at once: id i*n + j
-        goes to row i + k, column r^k j + l."""
-        self._check_id(w)
-        k, l = divmod(w, self.n)
-        steps = np.arange(self.n)
-        return np.add.outer((steps + k) % self.n * self.n,
-                            (pow(self.r, k, self.n) * steps + l) % self.n).ravel()
+        return (a + b) % self.size
 
     def inverse(self, a: int) -> int:
-        i, j = divmod(a, self.n)
-        k = (-i) % self.n
-        l = (-pow(self.r, k, self.n) * j) % self.n
-        return self._id(k, l)
-
-    def label(self, a: int) -> str:
-        i, j = divmod(a, self.n)
-        return f"g^{i} h^{j}"
-
-    def to_json(self) -> dict:
-        return {"family": "gpef", "p": self.p, "e": self.e, "f": self.f}
-
-    def parse_element(self, value) -> int:
-        """Exponent pairs [i, j] for g^i h^j as well as ids."""
-        if isinstance(value, list):
-            return self._id(*_exponents(value, 2))
-        return super().parse_element(value)
-
-
-class GpefAlphaGroup(GroupTable):
-    """The order 2^(2e+1) extension A = G_{2,e,2} x| <alpha> with
-    g^alpha = gh, h^alpha = h^-1 and alpha^2 = 1.
-
-    Elements g^i h^j alpha^eps with i, j mod 2^e; id = (i*2^e + j)*2 + eps.
-    """
-
-    def __init__(self, e: int):
-        if e < 3:
-            raise ValueError("need e >= 3")
-        self.e = e
-        self.n = 2 ** e
-        self.size = 2 * self.n * self.n
-        self.generators = [self._id(1, 0, 0), self._id(0, 1, 0), self._id(0, 0, 1)]
-
-    def _id(self, i: int, j: int, eps: int) -> int:
-        return ((i % self.n) * self.n + (j % self.n)) * 2 + (eps % 2)
-
-    def coords(self, a: int) -> tuple[int, int, int]:
-        ij, eps = divmod(a, 2)
-        i, j = divmod(ij, self.n)
-        return i, j, eps
-
-    def _alpha_img(self, i: int, j: int) -> tuple[int, int]:
-        # (g^i h^j)^alpha = (gh)^i h^-j = g^i h^(sigma(i) - j), sigma(i) = 1+5+...+5^(i-1)
-        sigma = (pow(5, i, 4 * self.n) - 1) // 4 % self.n
-        return i, (sigma - j) % self.n
-
-    def product(self, a: int, b: int) -> int:
-        i, j, eps = self.coords(a)
-        k, l, delta = self.coords(b)
-        if eps:
-            k2, l2 = self._alpha_img(k, l)
-        else:
-            k2, l2 = k, l
-        return self._id(i + k2, pow(5, k2, self.n) * j + l2, eps + delta)
+        return -a % self.size
 
     def right_mult(self, w: int) -> np.ndarray:
-        """:meth:`product` by ``w`` = g^k h^l alpha^delta on every id at
-        once, as an (i, j, eps) grid.  The alpha image of g^k h^l keeps k, so
-        only the h exponent added, l or its image, depends on eps."""
         self._check_id(w)
-        k, l, delta = self.coords(w)
-        steps = np.arange(self.n)
-        rows = (steps + k) % self.n * self.n * 2
-        cols = (pow(5, k, self.n) * steps[:, None]
-                + [l, self._alpha_img(k, l)[1]]) % self.n * 2 + [delta, 1 - delta]
-        return (rows[:, None, None] + cols).ravel()
+        return self._twice[w:w + self.size].copy()
 
-    def inverse(self, a: int) -> int:
-        i, j, eps = self.coords(a)
-        if not eps:
-            k = (-i) % self.n
-            return self._id(k, -pow(5, k, self.n) * j, 0)
-        # (x alpha)^-1 = alpha x^-1 = (x^-1)^alpha alpha
-        k = (-i) % self.n
-        l = (-pow(5, k, self.n) * j) % self.n
-        k2, l2 = self._alpha_img(k, l)
-        return self._id(k2, l2, 1)
+    def coords(self, a: int) -> tuple[int, ...]:
+        return (a,)
 
-    def label(self, a: int) -> str:
-        i, j, eps = self.coords(a)
-        return f"g^{i} h^{j}" + (" a" if eps else "")
-
-    def to_json(self) -> dict:
-        return {"family": "gpef_alpha", "e": self.e}
-
-    def parse_element(self, value) -> int:
-        """Exponent triples [i, j, eps] for g^i h^j alpha^eps as well as ids."""
-        if isinstance(value, list):
-            return self._id(*_exponents(value, 3))
-        return super().parse_element(value)
+    def element(self, exponents: Sequence[int]) -> int:
+        return exponents[0] % self.size
 
 
-class DirectProduct(GroupTable):
-    """A x B; id = a*|B| + b.  Generators: the given pairs, else the obvious
-    embedded generators of both factors."""
+class Product(GroupTable):
+    """The group A·B: every element is ab for one a in A and one b in B, with
+    id a·|B| + b.  At most one factor acts on the other, by conjugation:
+    ``conj_right(a, b)`` is the id of a^-1 b a in B when B is normal (b may
+    be an id array), ``conj_left(b, a)`` that of b a b^-1 in A when A is;
+    with neither A·B is the direct product.  So (a1 b1)(a2 b2) is
+    a1 a2 . (a2^-1 b1 a2) b2 when B is normal and a1 (b1 a2 b1^-1) . b1 b2
+    when A is (``docs/decisions.md``).
 
-    def __init__(self, left: GroupTable, right: GroupTable,
-                 generator_pairs: Sequence[tuple[int, int]] | None = None):
+    Generators: the ``generator_pairs`` (a, b), else A's then B's.  When
+    both factors have exponents (:class:`Cyclic` factors and products of
+    them), an element's exponents are its A-part's then its B-part's
+    (:meth:`coords`, :meth:`element`), and :meth:`parse_element` reads
+    them as lists.  :meth:`to_json` prints ``family`` when given."""
+
+    def __init__(self, left: GroupTable, right: GroupTable, conj_right=None, conj_left=None,
+                 generator_pairs: Sequence[tuple[int, int]] | None = None,
+                 family: dict | None = None):
+        if conj_right is not None and conj_left is not None:
+            raise ValueError("at most one factor acts on the other")
         self.left, self.right = left, right
+        self._conj_right, self._conj_left = conj_right, conj_left
         self.size = left.size * right.size
+        self._steps = np.arange(right.size)
         if generator_pairs is None:
             generator_pairs = [(g, 0) for g in left.generators] + \
                               [(0, g) for g in right.generators]
         self.generators = [a * right.size + b for a, b in generator_pairs]
+        self.arity = left.arity + right.arity if left.arity and right.arity else 0
+        self.family = family
 
-    def product(self, a: int, b: int) -> int:
-        a1, a2 = divmod(a, self.right.size)
-        b1, b2 = divmod(b, self.right.size)
-        return self.left.product(a1, b1) * self.right.size + self.right.product(a2, b2)
+    def product(self, x: int, y: int) -> int:
+        a1, b1 = divmod(x, self.right.size)
+        a2, b2 = divmod(y, self.right.size)
+        if self._conj_right is not None:
+            b1 = self._conj_right(a2, b1)
+        elif self._conj_left is not None:
+            a2 = self._conj_left(b1, a2)
+        return self.left.product(a1, a2) * self.right.size + self.right.product(b1, b2)
+
+    def inverse(self, x: int) -> int:
+        """(ab)^-1 = a^-1 . (a b^-1 a^-1) when B is normal, and
+        (b^-1 a^-1 b) . b^-1 when A is."""
+        a, b = divmod(x, self.right.size)
+        a, b = self.left.inverse(a), self.right.inverse(b)
+        if self._conj_right is not None:
+            b = self._conj_right(a, b)
+        elif self._conj_left is not None:
+            a = self._conj_left(b, a)
+        return a * self.right.size + b
 
     def right_mult(self, w: int) -> np.ndarray:
-        """From the factors' arrays: id a*|B| + b goes to (a w1)*|B| + b w2."""
+        """:meth:`product` by ``w`` = a2 b2 on every id at once, one broadcast
+        of the factors' arrays: B-part b1 b2, read at a2^-1 b1 a2 when B is
+        normal, and A-part a1 a2, or a1 (b1 a2 b1^-1) in column b1 when A
+        is."""
         self._check_id(w)
-        w1, w2 = divmod(w, self.right.size)
-        return np.add.outer(self.left.right_mult(w1) * self.right.size,
-                            self.right.right_mult(w2)).ravel()
+        nb = self.right.size
+        a2, b2 = divmod(w, nb)
+        rights = self.right.right_mult(b2)
+        if self._conj_right is not None:
+            rights = rights[self._conj_right(a2, self._steps)]
+        if self._conj_left is None:
+            lefts = self.left.right_mult(a2)[:, None]
+        else:
+            lefts = np.array([self.left.right_mult(self._conj_left(b1, a2))
+                              for b1 in range(nb)]).T
+        return (lefts * nb + rights).ravel()
 
-    def inverse(self, a: int) -> int:
-        a1, a2 = divmod(a, self.right.size)
-        return self.left.inverse(a1) * self.right.size + self.right.inverse(a2)
+    def coords(self, x: int) -> tuple[int, ...]:
+        a, b = divmod(x, self.right.size)
+        return self.left.coords(a) + self.right.coords(b)
 
-    def label(self, a: int) -> str:
-        a1, a2 = divmod(a, self.right.size)
-        return f"({self.left.label(a1)}, {self.right.label(a2)})"
+    def element(self, exponents: Sequence[int]) -> int:
+        """The id of the element with these exponents, each read modulo its
+        generator's order."""
+        k = self.left.arity
+        return self.left.element(exponents[:k]) * self.right.size + \
+            self.right.element(exponents[k:])
+
+    def to_json(self) -> dict:
+        return dict(self.family) if self.family else super().to_json()
+
+    def parse_element(self, value) -> int:
+        """Exponent lists as well as ids, when the factors have exponents."""
+        if self.arity and isinstance(value, list):
+            return self.element(_exponents(value, self.arity))
+        return super().parse_element(value)
+
+
+def GpefGroup(p: int, e: int, f: int) -> Product:
+    """G_{p,e,f} = <g, h | g^n = h^n = 1, h^g = h^(p^f+1)> with n = p^e, as
+    C_n[g]·C_n[h]: g^k acts by h^j -> h^(r^k j), r = p^f + 1.  Element g^i h^j
+    has id i*n + j and exponents [i, j]."""
+    if e < 1 or f < 1 or f > e:
+        raise ValueError("need 1 <= f <= e")
+    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        raise ValueError("p must be prime")
+    n, r = p ** e, p ** f + 1
+    return Product(Cyclic(n), Cyclic(n),
+                   conj_right=lambda k, j: pow(r, k, n) * j % n,
+                   family={"family": "gpef", "p": p, "e": e, "f": f})
+
+
+def GpefAlphaGroup(e: int) -> Product:
+    """The order 2^(2e+1) extension G_{2,e,2} x| <alpha> with g^alpha = gh,
+    h^alpha = h^-1 and alpha^2 = 1, as C_n[g]·D_n, n = 2^e, where D_n =
+    C_n[h]·C_2[alpha] and alpha inverts h.  g^k acts on D_n by h^j alpha^eps
+    -> h^(5^k j + eps sigma(k)) alpha^eps, sigma(k) = (5^k - 1)/4, so
+    g^i h^j alpha^eps has id (i*n + j)*2 + eps and exponents [i, j, eps]
+    (``docs/decisions.md``)."""
+    if e < 3:
+        raise ValueError("need e >= 3")
+    n = 2 ** e
+    dihedral = Product(Cyclic(n), Cyclic(2),
+                       conj_left=lambda eps, l: -l % n if eps else l)
+
+    def conj(k: int, d):
+        # id d = 2j + eps goes to 2(5^k j + sigma eps) + eps, mod 2n
+        five, sigma = pow(5, k, n), (pow(5, k, 4 * n) - 1) // 4
+        return (five * d + (2 * sigma + 1 - five) * (d & 1)) % (2 * n)
+
+    return Product(Cyclic(n), dihedral, conj_right=conj,
+                   family={"family": "gpef_alpha", "e": e})
+
+
+def DirectProduct(left: GroupTable, right: GroupTable,
+                  generator_pairs: Sequence[tuple[int, int]] | None = None) -> Product:
+    """A x B; id = a*|B| + b.  Generators: the given pairs, else the obvious
+    embedded generators of both factors."""
+    return Product(left, right, generator_pairs=generator_pairs)
 
 
 @dataclass(frozen=True)
@@ -634,11 +632,13 @@ def hom_extension(G: GroupTable, src: Sequence[int], dst: Sequence[int]) -> list
     """The automorphism of G extending src_i -> dst_i, as an image array, or
     None if the assignment does not extend.
 
-    BFS over the Cayley graph on ``src``; every closing edge is checked for
+    BFS over the Cayley graph on ``src``, read off the :meth:`right_mult`
+    columns of src_i and dst_i; every closing edge is checked for
     consistency, and the image set must be all of G.  ``src`` must generate.
     """
     if len(src) != len(dst):
         raise ValueError("src and dst must have equal length")
+    edges = [(G.right_mult(s).tolist(), G.right_mult(d).tolist()) for s, d in zip(src, dst)]
     images = [-1] * G.size
     images[0] = 0
     frontier = [0]
@@ -647,9 +647,9 @@ def hom_extension(G: GroupTable, src: Sequence[int], dst: Sequence[int]) -> list
         nxt = []
         for x in frontier:
             ix = images[x]
-            for s, d in zip(src, dst):
-                y = G.product(x, s)
-                iy = G.product(ix, d)
+            for by_s, by_d in edges:
+                y = by_s[x]
+                iy = by_d[ix]
                 if images[y] == -1:
                     images[y] = iy
                     assigned += 1
@@ -695,21 +695,18 @@ def extends_from_generating(G: GroupTable, src: Sequence[int], dst: Sequence[int
 def extends_by_chain(G: GroupTable, src: Sequence[int], dst: Sequence[int]) -> bool:
     """:func:`extends_from_generating` without the point conjugator, for a
     ``src`` that generates G.  On a :class:`PermGroup` stabilizer chains
-    decide: the diagonal subgroup <(src_i, dst_i)> of G x G, acting on 2 *
-    degree points, projects onto G; it is the graph of a homomorphism iff
-    its order is |G|, and that homomorphism is onto iff ``dst`` generates G,
-    which needs no chain when every ``src`` element is a ``dst`` element or
-    the inverse of one (every pattern of ``build._FORBIDDEN``).  Other
-    groups walk :func:`hom_extension`."""
+    decide: the assignment extends to a homomorphism by the diagonal test
+    (:func:`perms.extends_to_homomorphism`), and that homomorphism is onto
+    iff ``dst`` generates G, which needs no chain when every ``src`` element
+    is a ``dst`` element or the inverse of one (every pattern of
+    ``build._FORBIDDEN``).  Other groups walk :func:`hom_extension`."""
     if not isinstance(G, PermGroup):
         return hom_extension(G, src, dst) is not None
     if len(src) != len(dst):
         raise ValueError("src and dst must have equal length")
-    n = G.degree
     src_perms = [G.elem(x) for x in src]
     dst_perms = [G.elem(y) for y in dst]
-    diagonal = [a + tuple(j + n for j in b) for a, b in zip(src_perms, dst_perms)]
-    if perms.order_exceeds(diagonal, G.size):
+    if not perms.extends_to_homomorphism(src_perms, dst_perms, G.size):
         return False
     # <dst> contains <src> = G when each src element is in dst or inverts one
     covered = set(dst_perms).union(map(perms.inverse, dst_perms))

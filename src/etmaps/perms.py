@@ -649,6 +649,15 @@ def order_exceeds(gens: Sequence[Perm], bound: int) -> bool:
     return _stabilizer_order(gens, bound) is None
 
 
+def extends_to_homomorphism(src: Sequence[Perm], dst: Sequence[Perm], order: int) -> bool:
+    """Does s_i -> d_i extend to a homomorphism from <src>, a group of the
+    given ``order``?  The diagonal <(s_i, d_i)>, acting on the points of src
+    followed by those of dst, projects onto <src>; it is the graph of a
+    homomorphism iff its order is ``order``.  One chain order test."""
+    n = len(src[0])
+    return not order_exceeds([s + tuple(j + n for j in d) for s, d in zip(src, dst)], order)
+
+
 def group_order(gens: Iterable[Sequence[int]], cap: int | None = TABLE_CAP) -> int:
     """Exact order of the group generated by ``gens``, at least one
     permutation, all of one degree, from a stabilizer chain.  Raises

@@ -214,17 +214,6 @@ def _sym_even_class1_perms(n: int) -> tuple[Perm, Perm, Perm]:
     return r0, r1, r2
 
 
-def _search_even_witness(label: str, n: int, description: str) -> Realization:
-    """Deterministic fallback: first forbidden-free parity-correct tuple."""
-    G = sym_group(n)
-    result = build.search_epimorphisms(label, G, even=True,
-                                       up_to_cycle_type=True)
-    if not result.witnesses:
-        raise Unrealizable(f"{description}: exhaustive search found nothing")
-    shape, ops = ORBIT_ROUTE[label]
-    return Realization(label, EpimorphismSpec(shape, G, result.witnesses[0]), ops)
-
-
 def sym_even(label: str, n: int) -> Realization:
     """Orientable boundary-free map in the given class with Aut = S_n."""
     _check_degree(n)
@@ -258,13 +247,13 @@ def sym_even(label: str, n: int) -> Realization:
     if label in ("2ex", "2sex"):
         if n < 7:
             raise Unrealizable(f"S_{n} not evenly realizable in class {label}")
+        # S1 is odd and S an even cycle; the same S1 at every n >= 7
+        # (docs/decisions.md)
         G = sym_group(n)
-        if n % 2 == 0:
-            s1 = involution(n, [(1, 3), (2, 4), (n - 1, n)])
-            s = cycle(n, *range(1, n))
-            ids = _ids(G, s1, s)
-            return _realization(label, G, {"S1": ids[0], "S": ids[1]})
-        return _search_even_witness(label, n, f"class {label} over S_{n}")
+        s1 = involution(n, [(1, 3), (2, 4), (n - 1, n)])
+        s = cycle(n, *range(1, n + 1)) if n % 2 else cycle(n, *range(1, n))
+        ids = _ids(G, s1, s)
+        return _realization(label, G, {"S1": ids[0], "S": ids[1]})
     if label == "2Pex":
         real = sym_chiral(n)
         return Realization(label, real.spec, "")
@@ -526,9 +515,8 @@ def nilpotent_chiral(e: int) -> Realization:
     # the generation test closes the whole group, so refuse it over the cap
     groups._check_order(2, 2 * e + 1, TABLE_CAP)
     A = groups.GpefAlphaGroup(e)
-    x = A._id(1, 0, 0)   # g
-    y = A._id(0, 0, 1)   # alpha
-    return _realization("2Pex", A, {"X": x, "Y": y})
+    return _realization("2Pex", A, {"X": A.element([1, 0, 0]),   # g
+                                    "Y": A.element([0, 0, 1])})  # alpha
 
 
 def dihedral_spec(m: int) -> Realization:

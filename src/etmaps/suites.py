@@ -142,13 +142,12 @@ def _has_character(G: groups.PermGroup, want: list[tuple[int, int]]) -> bool:
     ``want``?  The x must generate G and some v must be 1, as in every row
     of :data:`build.EVEN_SIGNS`, so the character sought is nontrivial.
 
-    No element table is needed.  With tau the swap of two extra points, the
-    diagonal <(x, tau^v)> acts on degree + 2 points and projects onto G; it
-    is the graph of a homomorphism G -> <tau>, the character sought, iff its
-    order is |G|."""
-    n = G.degree
-    tau = {0: (n, n + 1), 1: (n + 1, n)}
-    return not perms.order_exceeds([G.elem(x) + tau[v] for x, v in want], G.size)
+    No element table is needed: with tau the swap of two points, the
+    character sought is the homomorphism G -> <tau> sending x to tau^v,
+    which one diagonal test decides (:func:`perms.extends_to_homomorphism`)."""
+    tau = {0: (0, 1), 1: (1, 0)}
+    return perms.extends_to_homomorphism([G.elem(x) for x, _ in want],
+                                         [tau[v] for _, v in want], G.size)
 
 
 # -- basic-maps ------------------------------------------------------------------

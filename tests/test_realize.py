@@ -135,6 +135,21 @@ def test_sym_even_2ex_odd_n_search():
     assert flagmaps.summary(m).orientable_no_boundary
 
 
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_sym_even_2ex_witness_without_search(n, monkeypatch):
+    # S1 = (1,3)(2,4)(n-1,n) and S an even cycle at every degree
+    # (docs/decisions.md); the exact test decides both classes
+    monkeypatch.setattr(build, "search_epimorphisms", None)
+    cycle = f"({','.join(map(str, range(1, n + 1 - (n + 1) % 2)))})"
+    for label in ("2ex", "2sex"):
+        real = realize.sym_even(label, n)
+        G, images = real.spec.group, real.spec.images
+        assert G.label(images["S1"]) == f"(1,3)(2,4)({n - 1},{n})"
+        assert G.label(images["S"]) == cycle
+        assert suites._verify_positive(real, math.factorial(n), even=True) == \
+            ("realizable", "exact test, no map built")
+
+
 def test_sym_even_class3_family():
     for n in (3, 4, 5, 6):
         real = realize.sym_even("3", n)
