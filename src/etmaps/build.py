@@ -366,54 +366,66 @@ class SearchResult:
 
 def _candidate_domains(label: str, G: GroupTable,
                        parity: dict[str, int] | None,
-                       lam: list[int] | None) -> dict[str, list[int]]:
-    """Per-generator candidate lists: involutions (with identity) or all
-    elements, filtered by the parity character when one is in force."""
-    invs = [0] + groups.involutions(G)
-    everything = list(range(G.size))
-    names = GENERATOR_NAMES[label]
+                       lam: list[int] | None) -> dict[str, np.ndarray]:
+    """Per-generator candidate masks over element ids: involutions (with
+    identity) or all elements, cut to one side of the parity character when
+    one is in force."""
+    invs = np.zeros(G.size, dtype=bool)
+    invs[[0] + groups.involutions(G)] = True
+    everything = np.ones(G.size, dtype=bool)
+    side = None if parity is None or lam is None else np.asarray(lam)
     inv_names = set(INVOLUTORY[label])
     domains = {}
-    for name in names:
+    for name in GENERATOR_NAMES[label]:
         dom = invs if name in inv_names else everything
-        if parity is not None and lam is not None:
-            want = 0 if parity[name] == 1 else 1
-            dom = [x for x in dom if lam[x] == want]
+        if side is not None:
+            dom = dom & (side == (0 if parity[name] == 1 else 1))
         domains[name] = dom
     return domains
 
 
-def _canonical_tuples(G: GroupTable, domains: list[list[int]], first: list[int],
-                      inv: np.ndarray, commute_0_2: bool):
+def _canonical_tuples(G: GroupTable, slots: list[np.ndarray], first: list[int],
+                      inv: np.ndarray, conj_g: list[np.ndarray], commute_0_2: bool):
     """Image tuples in lex order: the first image from ``first``, each later
-    one the least member of its orbit under conjugation by the centralizer of
-    the images before it, on that slot's candidate list.  With
-    ``commute_0_2`` the third image must commute with the first."""
+    one the least member of its orbit, on that slot's candidate mask, under
+    conjugation by the centralizer of the images before it.  ``conj_g`` are
+    conjugations generating G.  With ``commute_0_2`` the third image must
+    commute with the first.
+
+    A node whose centralizer has as many members as its parent's is the
+    parent's and reuses its generators, and the orbits are labelled on the
+    candidate ids alone, which every centralizer met maps onto themselves
+    (``docs/decisions.md``)."""
     n = G.size
     ident = np.arange(n)
-    slots = []
-    for dom in domains:
-        mask = np.zeros(n, dtype=bool)
-        mask[dom] = True
-        slots.append(mask)
+    pos = np.empty(n, dtype=np.int64)  # rank of each candidate id, set per call
 
-    def descend(prefix: tuple[int, ...], cents: list[np.ndarray]):
-        # cents[i]: the centralizer of prefix[:i + 1], as a mask over ids
+    def least_in_orbits(cand: np.ndarray, conj: list[np.ndarray]) -> list[int]:
+        ids = np.flatnonzero(cand)
+        pos[ids] = np.arange(len(ids))
+        _, least = groups.conjugation_orbits(len(ids), [pos[c[ids]] for c in conj])
+        return ids[least].tolist()
+
+    def descend(prefix: tuple[int, ...], levels: list[tuple[np.ndarray, int, list]]):
+        # levels[i]: mask, member count and conjugation generators of the
+        # centralizer of prefix[:i]; levels[0] is G
         k = len(prefix)
-        if k == len(domains):
+        if k == len(slots):
             yield prefix
             return
-        cent = groups.conjugation(G, prefix[-1], inv) == ident
-        cents = cents + [cents[-1] & cent if cents else cent]
-        cand = slots[k] & cents[0] if commute_0_2 and k == 2 else slots[k]
-        _, leaders = groups.conjugation_orbits(
-            n, groups.conjugation_generators(G, cents[-1], inv))
-        cand = cand & leaders
-        for y in np.flatnonzero(cand).tolist():
-            yield from descend(prefix + (y,), cents)
+        mask, count, conj = levels[-1]
+        mask = mask & (groups.conjugation(G, prefix[-1], inv) == ident)
+        members = int(np.count_nonzero(mask))
+        if members != count:  # else C(prefix), inside the parent's, equals it
+            conj = groups.conjugation_generators(G, mask, inv)
+        levels = levels + [(mask, members, conj)]
+        cand = slots[k] & levels[1][0] if commute_0_2 and k == 2 else slots[k]
+        for y in least_in_orbits(cand, conj):
+            yield from descend(prefix + (y,), levels)
 
+    root = [(np.ones(n, dtype=bool), n, conj_g)]
     for x in first:
-        yield from descend((x,), [])
+        yield from descend((x,), root)
 
 
 def _first_leaders(G: GroupTable, conj: list[np.ndarray], up_to_cycle_type: bool
@@ -430,13 +442,15 @@ def _first_leaders(G: GroupTable, conj: list[np.ndarray], up_to_cycle_type: bool
 
 
 def _orbit_union(tuples: list[tuple[int, ...]], conj: list[np.ndarray],
-                 first: set[int]) -> list[tuple[int, ...]]:
+                 admitted: np.ndarray) -> list[tuple[int, ...]]:
     """Sorted union of the orbits of the distinct ``tuples`` under
     simultaneous conjugation by the group whose conjugation id permutations
     are ``conj`` (:func:`perms.bfs_closure`), keeping the tuples whose first
-    image is in ``first``."""
+    image is marked in the mask ``admitted``."""
+    if not tuples:
+        return []
     orbit = perms.bfs_closure(conj, tuples).rows
-    return sorted(t for t in map(tuple, orbit.tolist()) if t[0] in first)
+    return sorted(map(tuple, orbit[admitted[orbit[:, 0]]].tolist()))
 
 
 def search_epimorphisms(label: str, G: GroupTable, *,
@@ -516,10 +530,11 @@ def search_epimorphisms(label: str, G: GroupTable, *,
     for lam in lams:
         domains = _candidate_domains(shape, G, parity, lam)
         doms = [domains[name] for name in names]
-        first = [x for x in doms[0] if leaders[x]]
+        admitted = doms[0] & leaders
         room = None if limit is None else limit - len(witnesses)
         canonical = []
-        for tup in _canonical_tuples(G, doms, first, inv, shape == "1"):
+        for tup in _canonical_tuples(G, doms, np.flatnonzero(admitted).tolist(), inv,
+                                     conj_g, shape == "1"):
             if tup in seen:
                 continue
             examined += 1
@@ -541,7 +556,7 @@ def search_epimorphisms(label: str, G: GroupTable, *,
             canonical.append(tup)
             if room is not None and len(canonical) == room:
                 break
-        found = _orbit_union(canonical, conj_g, set(first if up_to_cycle_type else doms[0]))
+        found = _orbit_union(canonical, conj_g, admitted if up_to_cycle_type else doms[0])
         for tup in [t for t in found if t not in seen][:room]:
             seen.add(tup)
             witnesses.append(dict(zip(names, tup)))

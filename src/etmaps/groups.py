@@ -590,9 +590,13 @@ def conjugation_generators(G: GroupTable, members: np.ndarray,
     """Conjugation id permutations (:func:`conjugation`) of a generating set
     of the subgroup whose ids are marked in the boolean array ``members``.
 
-    The set is chosen greedily: the least member outside the subgroup
-    generated so far, whose closure grows by right multiplication gathers
-    until it has every member.  No generators for the trivial subgroup."""
+    When every id is a member the set is ``G.generators``, the identity
+    left out, and no closure runs (``docs/decisions.md``).  Otherwise it is
+    chosen greedily: the least member outside the subgroup generated so
+    far, whose closure grows by right multiplication gathers until it has
+    every member.  No generators for the trivial subgroup."""
+    if members.all():
+        return [conjugation(G, g, inv) for g in G.generators if g != 0]
     span = np.zeros(G.size, dtype=bool)
     span[0] = True
     images = _mult_columns(G, [])

@@ -57,6 +57,12 @@ def _tuple_iter(label, G, domains, first_reps):
     yield from itertools.product(first, *(domains[n] for n in names[1:]))
 
 
+def _domains(shape, G, parity, lam):
+    """The search's candidate masks as id lists."""
+    masks = build._candidate_domains(shape, G, parity, lam)
+    return {name: np.flatnonzero(mask).tolist() for name, mask in masks.items()}
+
+
 def _cycle_type_reps(G, dom):
     by_type = {}
     for x in dom:
@@ -93,7 +99,7 @@ def _full_product_search(label, G, *, limit=1, even=False,
     witnesses = []
     examined = 0
     for lam in lams:
-        domains = build._candidate_domains(shape, G, parity, lam)
+        domains = _domains(shape, G, parity, lam)
         first_reps = None
         if up_to_cycle_type:
             first_reps = _cycle_type_reps(G, domains[names[0]])
@@ -182,7 +188,7 @@ def test_skipped_cells_are_the_large_products():
 def _orbit_count(shape, G, up_to_cycle_type):
     """Orbits of simultaneous conjugation by G that meet the full product,
     found by a walk over conjugates by the generators."""
-    domains = build._candidate_domains(shape, G, None, None)
+    domains = _domains(shape, G, None, None)
     first_reps = None
     if up_to_cycle_type:
         first_reps = _cycle_type_reps(G, domains[GENERATOR_NAMES[shape][0]])
